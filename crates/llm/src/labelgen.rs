@@ -43,20 +43,23 @@ const RULES: &[(&[&str], &str)] = &[
 /// Extracts CamelCase identifiers (exception/class/service names) from
 /// text, longest first.
 pub fn camelcase_entities(text: &str) -> Vec<String> {
-    let mut set: BTreeSet<String> = BTreeSet::new();
-    for tok in text.split(|c: char| !c.is_ascii_alphanumeric()) {
-        if tok.len() >= 8
-            && tok.chars().next().is_some_and(|c| c.is_ascii_uppercase())
-            && tok.chars().skip(1).any(|c| c.is_ascii_uppercase())
-            && tok.chars().any(|c| c.is_ascii_lowercase())
-            && !tok.chars().any(|c| c.is_ascii_digit())
-        {
-            set.insert(tok.to_string());
-        }
-    }
-    let mut out: Vec<String> = set.into_iter().collect();
+    let set: BTreeSet<&str> = camelcase_tokens(text).collect();
+    let mut out: Vec<String> = set.into_iter().map(String::from).collect();
     out.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
     out
+}
+
+/// The CamelCase identifiers of `text` as slices of it, in text order and
+/// with repeats.
+pub(crate) fn camelcase_tokens(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !c.is_ascii_alphanumeric())
+        .filter(|tok| {
+            tok.len() >= 8
+                && tok.chars().next().is_some_and(|c| c.is_ascii_uppercase())
+                && tok.chars().skip(1).any(|c| c.is_ascii_uppercase())
+                && tok.chars().any(|c| c.is_ascii_lowercase())
+                && !tok.chars().any(|c| c.is_ascii_digit())
+        })
 }
 
 /// Synthesizes a human-readable category label for an unseen incident.

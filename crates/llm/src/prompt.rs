@@ -3,6 +3,7 @@
 use rcacopilot_textkit::bpe::BpeTokenizer;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::fmt::Write;
 
 /// Token budget of the simulated model's context window (the paper uses
 /// GPT-4 with an 8K window).
@@ -81,6 +82,16 @@ impl<'a> PredictionPrompt<'a> {
     /// Renders the full prompt text in the Figure 9 format.
     pub fn render(&self) -> String {
         let mut out = String::new();
+        self.write_head(&mut out);
+        for (i, opt) in self.options.iter().enumerate() {
+            write_option(&mut out, i, opt);
+        }
+        out
+    }
+
+    /// Everything before the demonstration options: context, input,
+    /// degradation note and option A. Ends in a newline.
+    fn write_head(&self, out: &mut String) {
         out.push_str(
             "Context: The following description shows the error log information of an \
              incident. Please select the incident information that is most likely to have \
@@ -94,21 +105,6 @@ impl<'a> PredictionPrompt<'a> {
             out.push_str(note);
         }
         out.push_str("\n\nOptions:\nA: Unseen incident.\n");
-        for (i, opt) in self.options.iter().enumerate() {
-            // Single letters cover the normal K <= 25 case; larger option
-            // lists (possible before budget truncation) get numbered
-            // labels instead of overflowing the alphabet.
-            let label = if i < 25 {
-                ((b'B' + i as u8) as char).to_string()
-            } else {
-                format!("Option{}", i + 1)
-            };
-            out.push_str(&format!(
-                "{label}: {} category: {}.\n",
-                opt.summary, opt.category
-            ));
-        }
-        out
     }
 
     /// Counts prompt tokens with `tokenizer` (the tiktoken substitute).
@@ -118,14 +114,48 @@ impl<'a> PredictionPrompt<'a> {
 
     /// Drops trailing options until the prompt fits `budget` tokens.
     /// Returns the number of options removed.
+    ///
+    /// The head and every option line end in a newline, and a BPE count
+    /// is additive over whitespace words, so the prompt's count is the
+    /// head's plus each remaining line's: each is counted once, and no
+    /// rendering happens per dropped option.
     pub fn truncate_to_budget(&mut self, tokenizer: &BpeTokenizer, budget: usize) -> usize {
+        let mut text = String::new();
+        self.write_head(&mut text);
+        let mut total = tokenizer.count_tokens(&text);
+        let mut line_tokens = Vec::with_capacity(self.options.len());
+        for (i, opt) in self.options.iter().enumerate() {
+            text.clear();
+            write_option(&mut text, i, opt);
+            let n = tokenizer.count_tokens(&text);
+            line_tokens.push(n);
+            total += n;
+        }
         let mut dropped = 0;
-        while self.options.len() > 1 && self.token_count(tokenizer) > budget {
+        while self.options.len() > 1 && total > budget {
             self.options.pop();
+            total -= line_tokens[self.options.len()];
             dropped += 1;
         }
         dropped
     }
+}
+
+/// Appends option line `i` (label `B` onward). Ends in a newline.
+fn write_option(out: &mut String, i: usize, opt: &PromptOption<'_>) {
+    // Single letters cover the normal K <= 25 case; larger option lists
+    // (possible before budget truncation) get numbered labels instead of
+    // overflowing the alphabet.
+    if i < 25 {
+        out.push((b'B' + i as u8) as char);
+    } else {
+        let _ = write!(out, "Option{}", i + 1);
+    }
+    out.push_str(": ");
+    out.push_str(&opt.summary);
+    out.push_str(" category: ");
+    out.push_str(&opt.category);
+    out.push_str(".\n");
 }
 
 #[cfg(test)]
@@ -208,6 +238,58 @@ mod tests {
         assert!(dropped > 0);
         assert!(p.token_count(&tok) <= full / 2);
         assert!(!p.options.is_empty());
+    }
+
+    /// The budget loop `truncate_to_budget` replaced, kept as the
+    /// oracle: re-render and re-count the whole prompt after every pop.
+    fn reference_truncate(
+        p: &mut PredictionPrompt<'_>,
+        tok: &BpeTokenizer,
+        budget: usize,
+    ) -> usize {
+        let mut dropped = 0;
+        while p.options.len() > 1 && p.token_count(tok) > budget {
+            p.options.pop();
+            dropped += 1;
+        }
+        dropped
+    }
+
+    #[test]
+    fn one_pass_truncation_matches_recount_for_every_budget() {
+        for note in [
+            None,
+            Some("2 of 3 diagnostic sections unavailable (sources: Ωprobes)"),
+        ] {
+            let mut full = prompt();
+            full.degradation_note = note.map(String::from);
+            // 28 options: labels run past `Z` into `Option26`..`Option28`.
+            for i in 0..26 {
+                full.options.push(PromptOption {
+                    summary: format!("udp probe {i} failed; unseen-word{} ΣΑΣ", i * 7).into(),
+                    category: format!("Cat{i}").into(),
+                });
+            }
+            let text = full.render();
+            assert!(text.contains("Option28: "));
+            // Trained on the prompt minus one option, as the pipeline's
+            // tokenizer is trained on the demonstrations: most words hit
+            // the word table, the last option's take the merge loop.
+            let seen = text[..text.find("Option28: ").unwrap()].to_string();
+            let tok = BpeTokenizer::train(&[seen], 300);
+            let count = full.token_count(&tok);
+            for budget in 1..=count {
+                let mut fast = full.clone();
+                let mut slow = full.clone();
+                let dropped = fast.truncate_to_budget(&tok, budget);
+                assert_eq!(
+                    dropped,
+                    reference_truncate(&mut slow, &tok, budget),
+                    "budget {budget}"
+                );
+                assert_eq!(fast, slow, "budget {budget}");
+            }
+        }
     }
 
     #[test]

@@ -14,14 +14,22 @@ use std::collections::{BTreeMap, HashMap};
 const EOW: char = '\u{1}';
 
 /// A trained BPE tokenizer.
+///
+/// Encoding is per whitespace word, so a word's ids depend on nothing but
+/// its lowercased text. `train` therefore encodes every training word
+/// once into `words`, and `encode`/`count_tokens` look words up there,
+/// running the merge loop only for words the corpus never contained.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct BpeTokenizer {
     /// Symbol table: id → symbol string.
     symbols: Vec<String>,
-    /// Reverse lookup: symbol string → id.
-    ids: BTreeMap<String, u32>,
-    /// Ordered merge rules: (left id, right id) → merged id, by priority.
-    merges: HashMap<(u32, u32), (u32, u32)>,
+    /// `(code point, id)` of every single-character symbol, sorted.
+    chars: Vec<(u32, u32)>,
+    /// Merge rules `((left id, right id), (priority, merged id))`, sorted
+    /// by pair for binary search.
+    merges: Vec<((u32, u32), (u32, u32))>,
+    /// Lowercased training word → its ids (EOW included).
+    words: HashMap<String, Vec<u32>>,
 }
 
 impl BpeTokenizer {
@@ -34,6 +42,8 @@ impl BpeTokenizer {
     pub fn train(corpus: &[String], vocab_size: usize) -> Self {
         assert!(vocab_size > 0, "vocab_size must be positive");
         let mut tok = BpeTokenizer::default();
+        // Symbol string → id, for interning.
+        let mut ids: BTreeMap<String, u32> = BTreeMap::new();
 
         // Word frequency table over lowercased whitespace words.
         let mut word_freq: BTreeMap<String, u64> = BTreeMap::new();
@@ -52,19 +62,29 @@ impl BpeTokenizer {
             .collect();
         char_set.push(EOW);
         for c in char_set {
-            tok.intern(c.to_string());
+            intern(&mut tok.symbols, &mut ids, c.to_string());
         }
+        // Merged symbols are two characters or longer, so these are all
+        // the single-character symbols.
+        tok.chars = ids
+            .iter()
+            .filter_map(|(sym, &id)| sym.chars().next().map(|c| (u32::from(c), id)))
+            .collect();
+        tok.chars.sort_unstable();
 
         // Represent each distinct word as a symbol-id sequence.
         let mut words: Vec<(Vec<u32>, u64)> = word_freq
             .iter()
             .map(|(w, f)| {
-                let mut seq: Vec<u32> = w.chars().map(|c| tok.ids[&c.to_string()]).collect();
-                seq.push(tok.ids[&EOW.to_string()]);
+                let mut seq = Vec::new();
+                tok.symbolize(w, &mut seq);
                 (seq, *f)
             })
             .collect();
 
+        // A pair merged twice (its merged symbol re-created by another
+        // route) keeps its last priority.
+        let mut merges: BTreeMap<(u32, u32), (u32, u32)> = BTreeMap::new();
         let mut priority = 0u32;
         while tok.symbols.len() < vocab_size {
             // Count adjacent pairs.
@@ -88,8 +108,8 @@ impl BpeTokenizer {
                 "{}{}",
                 tok.symbols[best_pair.0 as usize], tok.symbols[best_pair.1 as usize]
             );
-            let merged_id = tok.intern(merged_sym);
-            tok.merges.insert(best_pair, (priority, merged_id));
+            let merged_id = intern(&mut tok.symbols, &mut ids, merged_sym);
+            merges.insert(best_pair, (priority, merged_id));
             priority += 1;
 
             // Apply the merge to every word.
@@ -108,17 +128,16 @@ impl BpeTokenizer {
                 *seq = out;
             }
         }
-        tok
-    }
+        tok.merges = merges.into_iter().collect();
 
-    fn intern(&mut self, sym: String) -> u32 {
-        if let Some(&id) = self.ids.get(&sym) {
-            return id;
+        // Encode every training word with the same merge loop `encode`
+        // runs, so a table hit is exactly what the loop would produce.
+        let (mut seq, mut ranks) = (Vec::new(), Vec::new());
+        for w in word_freq.into_keys() {
+            tok.encode_word(&w, &mut seq, &mut ranks);
+            tok.words.insert(w, seq.clone());
         }
-        let id = self.symbols.len() as u32;
-        self.symbols.push(sym.clone());
-        self.ids.insert(sym, id);
-        id
+        tok
     }
 
     /// Number of symbols in the vocabulary.
@@ -126,40 +145,100 @@ impl BpeTokenizer {
         self.symbols.len()
     }
 
+    /// The id of the single-character symbol `c`, if any.
+    fn char_id(&self, c: char) -> Option<u32> {
+        let at = self
+            .chars
+            .binary_search_by_key(&u32::from(c), |&(cp, _)| cp)
+            .ok()?;
+        Some(self.chars[at].1)
+    }
+
+    /// The `(priority, merged id)` rule for the adjacent pair `(left, right)`.
+    fn merge_of(&self, left: u32, right: u32) -> Option<(u32, u32)> {
+        let at = self
+            .merges
+            .binary_search_by_key(&(left, right), |&(pair, _)| pair)
+            .ok()?;
+        Some(self.merges[at].1)
+    }
+
+    /// Writes the character ids of the lowercased word `lower` plus EOW
+    /// into `seq`, skipping characters outside the vocabulary.
+    fn symbolize(&self, lower: &str, seq: &mut Vec<u32>) {
+        seq.clear();
+        seq.extend(lower.chars().filter_map(|c| self.char_id(c)));
+        seq.extend(self.char_id(EOW));
+    }
+
+    /// Encodes the lowercased word `lower` into `seq` by repeatedly
+    /// applying the highest-priority applicable merge, the leftmost one
+    /// on ties. `ranks` is scratch space holding each adjacent pair's
+    /// rule; a merge only changes the rules of its two neighbours.
+    fn encode_word(&self, lower: &str, seq: &mut Vec<u32>, ranks: &mut Vec<Option<(u32, u32)>>) {
+        self.symbolize(lower, seq);
+        ranks.clear();
+        ranks.extend(seq.windows(2).map(|w| self.merge_of(w[0], w[1])));
+        loop {
+            let mut best: Option<(u32, usize, u32)> = None; // (priority, pos, merged)
+            for (pos, rank) in ranks.iter().enumerate() {
+                if let Some((prio, merged)) = *rank {
+                    if best.is_none_or(|(bp, _, _)| prio < bp) {
+                        best = Some((prio, pos, merged));
+                    }
+                }
+            }
+            let Some((_, pos, merged)) = best else { break };
+            seq[pos] = merged;
+            seq.remove(pos + 1);
+            ranks.remove(pos);
+            if pos > 0 {
+                ranks[pos - 1] = self.merge_of(seq[pos - 1], seq[pos]);
+            }
+            if pos < ranks.len() {
+                ranks[pos] = self.merge_of(seq[pos], seq[pos + 1]);
+            }
+        }
+    }
+
+    /// Calls `f` with the ids of each whitespace word of `text`, in order.
+    fn for_each_word(&self, text: &str, mut f: impl FnMut(&[u32])) {
+        let mut lower = String::new();
+        let (mut seq, mut ranks) = (Vec::new(), Vec::new());
+        for word in text.split_whitespace() {
+            lower.clear();
+            if word.is_ascii() {
+                lower.push_str(word);
+                lower.make_ascii_lowercase();
+            } else {
+                // Full Unicode lowercasing of the whole word keeps its
+                // context rules (a word-final 'Σ' becomes 'ς').
+                lower.push_str(&word.to_lowercase());
+            }
+            match self.words.get(lower.as_str()) {
+                Some(ids) => f(ids),
+                None => {
+                    self.encode_word(&lower, &mut seq, &mut ranks);
+                    f(&seq);
+                }
+            }
+        }
+    }
+
     /// Encodes `text` into symbol ids. Unknown characters are skipped.
     pub fn encode(&self, text: &str) -> Vec<u32> {
         let mut out = Vec::new();
-        for word in text.split_whitespace() {
-            let lower = word.to_lowercase();
-            let mut seq: Vec<u32> = lower
-                .chars()
-                .filter_map(|c| self.ids.get(&c.to_string()).copied())
-                .collect();
-            if let Some(&eow) = self.ids.get(&EOW.to_string()) {
-                seq.push(eow);
-            }
-            // Repeatedly apply the highest-priority applicable merge.
-            loop {
-                let mut best: Option<(u32, usize, u32)> = None; // (priority, pos, merged)
-                for (pos, win) in seq.windows(2).enumerate() {
-                    if let Some(&(prio, merged)) = self.merges.get(&(win[0], win[1])) {
-                        if best.is_none_or(|(bp, _, _)| prio < bp) {
-                            best = Some((prio, pos, merged));
-                        }
-                    }
-                }
-                let Some((_, pos, merged)) = best else { break };
-                seq[pos] = merged;
-                seq.remove(pos + 1);
-            }
-            out.extend(seq);
-        }
+        self.for_each_word(text, |ids| out.extend_from_slice(ids));
         out
     }
 
     /// Number of BPE tokens in `text` — the reproduction's token counter.
+    /// Additive over whitespace words: text split at whitespace counts
+    /// as the sum of its parts.
     pub fn count_tokens(&self, text: &str) -> usize {
-        self.encode(text).len()
+        let mut n = 0;
+        self.for_each_word(text, |ids| n += ids.len());
+        n
     }
 
     /// Decodes ids back to a string (words separated by single spaces).
@@ -183,6 +262,17 @@ impl BpeTokenizer {
     pub fn symbol(&self, id: u32) -> Option<&str> {
         self.symbols.get(id as usize).map(String::as_str)
     }
+}
+
+/// The id of `sym`, adding it to the symbol table if new.
+fn intern(symbols: &mut Vec<String>, ids: &mut BTreeMap<String, u32>, sym: String) -> u32 {
+    if let Some(&id) = ids.get(&sym) {
+        return id;
+    }
+    let id = symbols.len() as u32;
+    symbols.push(sym.clone());
+    ids.insert(sym, id);
+    id
 }
 
 #[cfg(test)]
@@ -269,6 +359,88 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The encoder the word table replaced, kept as the oracle: every
+    /// word lowercased into a fresh `String`, every character looked up
+    /// through a fresh `String`, merges found in a `HashMap`.
+    fn reference_encode(tok: &BpeTokenizer, text: &str) -> Vec<u32> {
+        let merges: HashMap<(u32, u32), (u32, u32)> = tok.merges.iter().copied().collect();
+        let ids: BTreeMap<String, u32> = tok
+            .symbols
+            .iter()
+            .enumerate()
+            .map(|(id, sym)| (sym.clone(), id as u32))
+            .collect();
+        let mut out = Vec::new();
+        for word in text.split_whitespace() {
+            let lower = word.to_lowercase();
+            let mut seq: Vec<u32> = lower
+                .chars()
+                .filter_map(|c| ids.get(&c.to_string()).copied())
+                .collect();
+            if let Some(&eow) = ids.get(&EOW.to_string()) {
+                seq.push(eow);
+            }
+            loop {
+                let mut best: Option<(u32, usize, u32)> = None;
+                for (pos, win) in seq.windows(2).enumerate() {
+                    if let Some(&(prio, merged)) = merges.get(&(win[0], win[1])) {
+                        if best.is_none_or(|(bp, _, _)| prio < bp) {
+                            best = Some((prio, pos, merged));
+                        }
+                    }
+                }
+                let Some((_, pos, merged)) = best else { break };
+                seq[pos] = merged;
+                seq.remove(pos + 1);
+            }
+            out.extend(seq);
+        }
+        out
+    }
+
+    fn assert_matches_reference(tok: &BpeTokenizer, text: &str) -> Result<(), TestCaseError> {
+        let expected = reference_encode(tok, text);
+        prop_assert_eq!(tok.count_tokens(text), expected.len());
+        prop_assert_eq!(tok.encode(text), expected);
+        Ok(())
+    }
+
+    #[test]
+    fn word_table_matches_reference_on_unicode_case_rules() {
+        let corpus = vec![
+            "ΣΑΣ σας İstanbul straße ﬃ office Transport transport".to_string(),
+            "the ΣΑΣ office ﬃx İİ ß ss".to_string(),
+        ];
+        let tok = BpeTokenizer::train(&corpus, 120);
+        for text in [
+            "",
+            "   \t\n ",
+            "ΣΑΣ σας ΣΑς",
+            "İ İstanbul i̇stanbul ISTANBUL",
+            "STRASSE straße SS ß",
+            "ﬃ FFI office OFFICE",
+            "unknown Ωmega 12345 Transport\u{1}x",
+        ] {
+            assert_matches_reference(&tok, text).unwrap();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn encode_and_count_match_reference(
+            train in proptest::collection::vec("[a-fA-FΣΑσςİßﬃ]{1,7}", 1..30),
+            text in proptest::collection::vec("[a-hA-HΣΑσςİßﬃΩ0-9]{0,7}", 0..20),
+            sep in proptest::sample::select(vec![" ", "  ", "\t", "\n ", " \u{1} "]),
+        ) {
+            let corpus = vec![train.join(" "), train[..train.len() / 2].join(" ")];
+            let tok = BpeTokenizer::train(&corpus, 90);
+            // Training words hit the table; the rest take the merge loop.
+            assert_matches_reference(&tok, &train.join(sep))?;
+            assert_matches_reference(&tok, &text.join(sep))?;
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]

@@ -8,7 +8,8 @@
 //! - [`mod@normalize`]: canonicalization and entity masking (timestamps,
 //!   machine names, hex ids, large numbers → placeholder tokens) plus word
 //!   tokenization.
-//! - [`ngram`]: word and character n-gram extraction with feature hashing.
+//! - [`ngram`]: FNV-1a feature hashing (one-shot or streamed over slices)
+//!   into bucket indices.
 //! - [`sparse`]: sparse vectors with dot/cosine/Euclidean operations.
 //! - [`tfidf`]: a fit/transform TF-IDF vectorizer over a corpus.
 //! - [`bpe`]: a byte-pair-encoding tokenizer (the `tiktoken` substitute)
@@ -24,7 +25,7 @@ pub mod sparse;
 pub mod tfidf;
 
 pub use bpe::BpeTokenizer;
-pub use ngram::{char_ngrams, hash_token, word_ngrams};
+pub use ngram::hash_token;
 pub use normalize::{mask_entities, normalize, tokenize};
 pub use sparse::SparseVector;
 pub use tfidf::TfIdfVectorizer;

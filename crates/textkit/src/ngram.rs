@@ -1,62 +1,73 @@
-//! N-gram extraction and feature hashing.
+//! Feature hashing for n-gram features.
 //!
 //! FastText-style models represent a word by the bag of its character
 //! n-grams, hashed into a fixed-size bucket table. The hash is FNV-1a —
 //! simple, fast, and deterministic across runs, which the reproduction
-//! relies on for stable results.
+//! relies on for stable results. [`Fnv1a`] hashes an n-gram from the
+//! slices it spans, so callers never build the n-gram string.
+
+/// Streaming FNV-1a 64-bit hasher: writing parts one after another
+/// hashes exactly like [`hash_token`] of their concatenation, so callers
+/// can hash joined or formatted text without building the `String`.
+/// `write!` into it formats numbers without allocating.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A hasher over the empty string.
+    pub fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Feeds `bytes`.
+    pub fn write(&mut self, bytes: &[u8]) {
+        const PRIME: u64 = 0x1000_0000_01b3;
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(PRIME);
+        }
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
 
 /// FNV-1a 64-bit hash of a string.
 pub fn hash_token(token: &str) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x1000_0000_01b3;
-    let mut h = OFFSET;
-    for b in token.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    hash_bytes(token.as_bytes())
 }
 
-/// Character n-grams of `word` for all `n` in `min_n..=max_n`, with the
-/// FastText convention of angle-bracket word boundaries (`<word>`).
-///
-/// Returns the n-grams as strings; the whole padded word is *not* included
-/// (callers usually add the word token itself separately).
-pub fn char_ngrams(word: &str, min_n: usize, max_n: usize) -> Vec<String> {
-    let padded: Vec<char> = std::iter::once('<')
-        .chain(word.chars())
-        .chain(std::iter::once('>'))
-        .collect();
-    let mut grams = Vec::new();
-    for n in min_n..=max_n {
-        if padded.len() < n {
-            break;
-        }
-        for start in 0..=(padded.len() - n) {
-            grams.push(padded[start..start + n].iter().collect());
-        }
-    }
-    grams
-}
-
-/// Word n-grams (as joined strings with `_`) for all `n` in `1..=max_n`.
-pub fn word_ngrams(tokens: &[String], max_n: usize) -> Vec<String> {
-    let mut grams = Vec::new();
-    for n in 1..=max_n {
-        if tokens.len() < n {
-            break;
-        }
-        for start in 0..=(tokens.len() - n) {
-            grams.push(tokens[start..start + n].join("_"));
-        }
-    }
-    grams
+/// FNV-1a 64-bit hash of a byte string.
+pub fn hash_bytes(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
 }
 
 /// Maps a token to a bucket index in `0..buckets`.
 pub fn bucket_of(token: &str, buckets: usize) -> usize {
+    bucket_of_hash(hash_token(token), buckets)
+}
+
+/// Maps a token's [`hash_token`] value to a bucket index in `0..buckets`.
+pub fn bucket_of_hash(hash: u64, buckets: usize) -> usize {
     debug_assert!(buckets > 0, "bucket count must be positive");
-    (hash_token(token) % buckets as u64) as usize
+    (hash % buckets as u64) as usize
 }
 
 #[cfg(test)]
@@ -71,39 +82,14 @@ mod tests {
     }
 
     #[test]
-    fn char_ngrams_use_boundaries() {
-        let grams = char_ngrams("cat", 3, 3);
-        assert_eq!(grams, vec!["<ca", "cat", "at>"]);
-    }
-
-    #[test]
-    fn char_ngrams_multiple_sizes() {
-        let grams = char_ngrams("io", 2, 4);
-        // Padded: < i o >  (len 4).
-        assert!(grams.contains(&"<i".to_string()));
-        assert!(grams.contains(&"io>".to_string()));
-        assert!(grams.contains(&"<io>".to_string()));
-    }
-
-    #[test]
-    fn char_ngrams_short_word_does_not_panic() {
-        let grams = char_ngrams("a", 3, 6);
-        assert_eq!(grams, vec!["<a>"]);
-        let empty = char_ngrams("", 3, 6);
-        assert!(empty.is_empty() || empty == vec!["<>".to_string()]);
-    }
-
-    #[test]
-    fn word_ngrams_join_with_underscore() {
-        let toks: Vec<String> = ["udp", "socket", "count"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let grams = word_ngrams(&toks, 2);
-        assert!(grams.contains(&"udp".to_string()));
-        assert!(grams.contains(&"udp_socket".to_string()));
-        assert!(grams.contains(&"socket_count".to_string()));
-        assert_eq!(grams.len(), 3 + 2);
+    fn streamed_fnv_equals_hash_of_concatenation() {
+        use std::fmt::Write;
+        let mut h = Fnv1a::new();
+        h.write(b"udp");
+        h.write(b"_");
+        write!(h, "{}|{}", 42u64, 7usize).unwrap();
+        assert_eq!(h.finish(), hash_token("udp_42|7"));
+        assert_eq!(Fnv1a::new().finish(), hash_token(""));
     }
 
     #[test]

@@ -18,8 +18,10 @@ pub fn normalize(text: &str) -> String {
                 last_space = true;
             }
         } else {
-            for lc in ch.to_lowercase() {
-                out.push(lc);
+            if ch.is_ascii() {
+                out.push(ch.to_ascii_lowercase());
+            } else {
+                out.extend(ch.to_lowercase());
             }
             last_space = false;
         }
