@@ -121,7 +121,6 @@ fn main() {
         index_mode: IndexMode::Online,
         admission: AdmissionConfig::unbounded(),
         checkpoint_every: 3,
-        compact_epochs: 2,
         ..EngineConfig::default()
     };
 
@@ -306,7 +305,6 @@ fn main() {
             "engine": {
                 "index_mode": "online",
                 "checkpoint_every": base.checkpoint_every,
-                "compact_epochs": base.compact_epochs,
                 "quarantine_kills": base.quarantine_kills,
                 "max_attempts": base.max_attempts,
             },

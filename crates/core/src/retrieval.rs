@@ -11,64 +11,22 @@
 //! demonstrations stay diverse. `α` is measured per day; the paper's best
 //! values are `K = 5`, `α = 0.3`.
 
-use rcacopilot_embed::{BucketedIndex, EpochIndex, HnswConfig, HnswIndex, IndexStats, IvfIndex};
+use rcacopilot_embed::IndexStats;
 use rcacopilot_telemetry::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering as CmpOrdering;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Which index answers the candidate-generation half of retrieval.
-///
-/// Scoring is *always* exact: the paper's temporal-decay similarity is
-/// computed per candidate in `f64` and ranked with the same tie-breaks
-/// regardless of backend. The backend only decides which entries become
-/// candidates — [`Exact`](RetrievalBackend::Exact) considers everything,
-/// the ANN tiers consider what their structure surfaces. At saturation
-/// (`ef_search`/`nprobe` at or past the structure size) the ANN
-/// candidate set provably covers every entry, and answers are
-/// byte-identical to `Exact` (property-tested).
+/// Which index answers retrieval. Every view is exact, so there is one
+/// backend; the type stays so that `RetrievalConfig` literals keep their
+/// shape.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub enum RetrievalBackend {
-    /// Bound-pruned exact scan over the bucketed cells (the default).
+    /// Exact scoring of every candidate row.
     #[default]
     Exact,
-    /// Inverted-file candidates: probe the `nprobe` nearest of `ncells`
-    /// k-means cells, exact re-rank of their contents.
-    Ivf {
-        /// Quantizer cells built from the first insert batch.
-        ncells: usize,
-        /// Cells probed per query (`>= ncells` saturates to full recall).
-        nprobe: usize,
-    },
-    /// Seeded deterministic HNSW graph candidates, exact re-rank.
-    Hnsw {
-        /// Max neighbors per node above layer 0 (layer 0 allows `2m`).
-        m: usize,
-        /// Insertion beam width.
-        ef_construction: usize,
-        /// Query beam width (`>= len` saturates to full recall).
-        ef_search: usize,
-    },
-}
-
-impl RetrievalBackend {
-    /// An HNSW backend with the embed crate's default graph parameters.
-    pub fn hnsw() -> Self {
-        let d = HnswConfig::default();
-        RetrievalBackend::Hnsw {
-            m: d.m,
-            ef_construction: d.ef_construction,
-            ef_search: d.ef_search,
-        }
-    }
-
-    /// An IVF backend with moderate defaults.
-    pub fn ivf() -> Self {
-        RetrievalBackend::Ivf {
-            ncells: 64,
-            nprobe: 8,
-        }
-    }
 }
 
 /// Retrieval hyperparameters.
@@ -78,10 +36,7 @@ pub struct RetrievalConfig {
     pub k: usize,
     /// Temporal decay rate per day.
     pub alpha: f64,
-    /// Candidate-generation backend (see [`RetrievalBackend`]). Only
-    /// online snapshots honor it — the frozen batch index is a plain
-    /// exact scan — and a snapshot whose index was built without the
-    /// requested ANN structure falls back to the exact scan.
+    /// Retrieval backend; [`RetrievalBackend::Exact`] is the only one.
     pub backend: RetrievalBackend,
 }
 
@@ -211,26 +166,26 @@ impl HistoricalIndex {
     }
 }
 
-/// The greedy distinct-category selection both index implementations
-/// share: stable-sort all `(position, entry, similarity)` candidates by
+/// The greedy distinct-category selection of the linear scan:
+/// stable-sort all `(position, entry, similarity)` candidates by
 /// similarity (descending) and keep the first entry of each new category
-/// until `k` categories are chosen.
+/// until `k` categories are chosen (none for `k = 0`).
 fn diverse_select(mut scored: Vec<(usize, &HistoricalEntry, f64)>, k: usize) -> Vec<Neighbor<'_>> {
     // total_cmp instead of partial_cmp: a NaN similarity (possible
     // from a degenerate zero embedding) must not panic the pipeline;
     // it gets a deterministic position instead.
     scored.sort_by(|a, b| b.2.total_cmp(&a.2));
     let mut seen_categories = std::collections::BTreeSet::new();
-    let mut out = Vec::with_capacity(k);
+    let mut out = Vec::new();
     for (_, entry, sim) in scored {
+        if out.len() == k {
+            break;
+        }
         if seen_categories.insert(entry.category.as_str()) {
             out.push(Neighbor {
                 entry,
                 similarity: sim,
             });
-            if out.len() == k {
-                break;
-            }
         }
     }
     out
@@ -278,262 +233,166 @@ impl HistoryView for HistoricalIndex {
     }
 }
 
-/// Entries per copy-on-write chunk in [`OnlineHistoricalIndex`]. Chunking
-/// keeps a snapshot at `O(n / CHUNK)` `Arc` clones and an append at one
-/// `O(CHUNK)` copy worst case, instead of `O(n)` for a flat vector.
+/// Rows per chunk of the online store. Chunking keeps a snapshot at
+/// `O(n / ENTRY_CHUNK)` `Arc` clones and an append at one `O(ENTRY_CHUNK)`
+/// copy worst case, and gives every chunk a zone map to prune on.
 const ENTRY_CHUNK: usize = 256;
 
-/// One stored entry plus the virtual instant it became retrievable —
-/// the resolution time for streamed incidents ([`SimTime::EPOCH`] for
-/// warm-start history, which is visible to every query).
+/// The `max_cell` value every checkpoint records. The store has no cells;
+/// the field stays so checkpoint records keep their format.
+const CHECKPOINT_MAX_CELL: usize = 64;
+
+/// Up to `ENTRY_CHUNK` rows of the online store, one column per field,
+/// plus the chunk's zone map: the earliest and latest `at` it holds.
 #[derive(Debug, Clone)]
-struct OnlineEntry {
-    entry: HistoricalEntry,
-    visible_from: SimTime,
-    /// Global insertion sequence number — the retrieval tie-break. For a
-    /// standalone index this equals the local position; under
-    /// [`ShardedHistoricalIndex`] it is allocated by the router, so
-    /// cross-shard ties resolve exactly as a single index would.
-    global_seq: u64,
+struct Chunk {
+    /// Row-major embeddings, `dim` floats per row.
+    embeddings: Vec<f32>,
+    /// Store-local category ids.
+    category: Vec<u32>,
+    at: Vec<SimTime>,
+    /// Global insertion sequence numbers — the retrieval tie-break. For a
+    /// standalone store this is the row's insertion position; under
+    /// [`ShardedHistoricalIndex`] the router allocates it, so ties across
+    /// shards resolve as one store would resolve them.
+    global_seq: Vec<u64>,
+    /// The instant each row became retrievable: its resolution time for
+    /// streamed incidents, [`SimTime::EPOCH`] for warm-start history.
+    visible_from: Vec<SimTime>,
+    /// The stored entries, handed out by reference as neighbors.
+    entries: Vec<HistoricalEntry>,
+    min_at: SimTime,
+    max_at: SimTime,
 }
 
-/// Append-only chunked entry store with cheap snapshots.
-#[derive(Debug, Clone, Default)]
-struct EntryChunks {
-    chunks: Vec<Arc<Vec<OnlineEntry>>>,
-    len: usize,
-}
-
-impl EntryChunks {
-    fn push(&mut self, item: OnlineEntry) {
-        if self.len.is_multiple_of(ENTRY_CHUNK) {
-            self.chunks.push(Arc::new(Vec::with_capacity(ENTRY_CHUNK)));
+impl Chunk {
+    fn with_capacity(rows: usize, dim: usize) -> Self {
+        Chunk {
+            embeddings: Vec::with_capacity(rows * dim),
+            category: Vec::with_capacity(rows),
+            at: Vec::with_capacity(rows),
+            global_seq: Vec::with_capacity(rows),
+            visible_from: Vec::with_capacity(rows),
+            entries: Vec::with_capacity(rows),
+            min_at: SimTime::from_secs(u64::MAX),
+            max_at: SimTime::EPOCH,
         }
-        let last = self.chunks.last_mut().expect("chunk just ensured");
-        Arc::make_mut(last).push(item);
-        self.len += 1;
     }
 
-    fn get(&self, i: usize) -> &OnlineEntry {
-        &self.chunks[i / ENTRY_CHUNK][i % ENTRY_CHUNK]
+    fn push(&mut self, entry: HistoricalEntry, category: u32, visible_from: SimTime, seq: u64) {
+        self.embeddings.extend_from_slice(&entry.embedding);
+        self.category.push(category);
+        self.at.push(entry.at);
+        self.global_seq.push(seq);
+        self.visible_from.push(visible_from);
+        self.min_at = self.min_at.min(entry.at);
+        self.max_at = self.max_at.max(entry.at);
+        self.entries.push(entry);
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.entries.len()
+    }
+
+    /// Smallest `|at − t|` any row of the chunk can have.
+    fn gap(&self, t: SimTime) -> SimDuration {
+        if t < self.min_at {
+            self.min_at.abs_diff(t)
+        } else if t > self.max_at {
+            t.abs_diff(self.max_at)
+        } else {
+            SimDuration::ZERO
+        }
+    }
+
+    /// Resident bytes of the columns (the entries are not counted).
+    fn column_bytes(&self) -> usize {
+        self.embeddings.capacity() * std::mem::size_of::<f32>()
+            + self.category.capacity() * std::mem::size_of::<u32>()
+            + (self.at.capacity() + self.visible_from.capacity()) * std::mem::size_of::<SimTime>()
+            + self.global_seq.capacity() * std::mem::size_of::<u64>()
+            + std::mem::size_of::<Chunk>()
     }
 }
 
-/// Fixed seed of every online HNSW graph. A constant (rather than
-/// per-shard state) keeps the graph a pure function of the insert
-/// stream, so checkpoint restore and worker-count changes cannot
-/// perturb candidate generation.
-const ANN_SEED: u64 = 0x0a2a_c0de;
-
-/// Inserts staged into an online IVF tier before its quantizer is
-/// trained, as a multiple of `ncells`.
-const IVF_TRAIN_FACTOR: usize = 8;
-
-/// An IVF tier that grows online: inserts are staged until
-/// `ncells * IVF_TRAIN_FACTOR` arrive, the quantizer is k-means-trained
-/// on that prefix once, and every later insert routes to its nearest
-/// frozen centroid. Before training there is no structure to probe, so
-/// [`candidates`](IvfOnline::candidates) reports `None` and the caller
-/// scans exactly — trivially full recall.
-#[derive(Debug, Clone)]
-struct IvfOnline {
-    ncells: usize,
-    built: Option<IvfIndex>,
-    pending: Vec<(u64, Vec<f32>)>,
+/// An append-only list of `Arc`'d chunks; cloning it is a snapshot.
+#[derive(Debug, Clone, Default)]
+struct Rows {
+    chunks: Vec<Arc<Chunk>>,
+    /// Distinct categories when this list was taken (ids are `0..categories`).
+    categories: usize,
+    len: usize,
+    /// Floats per embedding.
+    dim: usize,
+    /// Some stored embedding has a NaN or infinite component.
+    non_finite: bool,
 }
 
-impl IvfOnline {
-    fn new(ncells: usize) -> Self {
-        IvfOnline {
-            ncells: ncells.max(1),
-            built: None,
-            pending: Vec::new(),
-        }
-    }
-
-    fn insert(&mut self, id: u64, vector: Vec<f32>) {
-        if let Some(ivf) = &mut self.built {
-            ivf.insert(id, vector);
-            return;
-        }
-        self.pending.push((id, vector));
-        if self.pending.len() >= self.ncells * IVF_TRAIN_FACTOR {
-            self.built = Some(IvfIndex::build(
-                &self.pending,
-                self.ncells,
-                self.ncells,
-                ANN_SEED,
-            ));
-            self.pending.clear();
-        }
-    }
-
-    /// Candidate ids for `query`, or `None` while untrained (caller
-    /// falls back to the exact scan over everything).
-    fn candidates(&self, query: &[f32], nprobe: usize) -> Option<Vec<u64>> {
-        self.built.as_ref().map(|ivf| ivf.candidates(query, nprobe))
-    }
-
-    fn stats(&self) -> IndexStats {
-        match &self.built {
-            Some(ivf) => ivf.stats(),
-            None => {
-                let dim = self.pending.first().map_or(0, |(_, v)| v.len());
-                IndexStats {
-                    vectors: self.pending.len(),
-                    dim,
-                    cells: 0,
-                    layers: 0,
-                    edges: 0,
-                    bytes: self.pending.len() * (dim * 4 + 8 + std::mem::size_of::<Vec<f32>>()),
-                }
-            }
-        }
-    }
+/// The temporal-decay factor `e^(−α·days(Δt))` — the one path from a
+/// time gap to a factor, shared by the per-row similarity and the chunk
+/// bound so rounding can never put a bound under a row.
+fn decay(dt: SimDuration, alpha: f64) -> f64 {
+    (-alpha * dt.as_days_f64()).exp()
 }
 
-/// The ANN structure an online index maintains next to its exact
-/// bucketed cells, when a non-[`Exact`](RetrievalBackend::Exact) backend
-/// was configured. Ids are the index's *local* entry positions.
-#[derive(Debug, Clone)]
-enum AnnPlane {
-    Hnsw(HnswIndex),
-    Ivf(IvfOnline),
-}
-
-impl AnnPlane {
-    fn for_backend(backend: RetrievalBackend) -> Option<AnnPlane> {
-        match backend {
-            RetrievalBackend::Exact => None,
-            RetrievalBackend::Hnsw {
-                m,
-                ef_construction,
-                ef_search,
-            } => Some(AnnPlane::Hnsw(HnswIndex::new(HnswConfig {
-                m,
-                ef_construction,
-                ef_search,
-                seed: ANN_SEED,
-            }))),
-            RetrievalBackend::Ivf { ncells, .. } => Some(AnnPlane::Ivf(IvfOnline::new(ncells))),
-        }
-    }
-
-    fn insert(&mut self, local: u64, vector: Vec<f32>) {
-        match self {
-            AnnPlane::Hnsw(h) => h.add(local, vector),
-            AnnPlane::Ivf(iv) => iv.insert(local, vector),
-        }
-    }
-
-    /// Candidate local ids under the query's backend parameters, or
-    /// `None` when the structure kind doesn't match the request (or the
-    /// request is `Exact`): the caller then uses the exact scan.
-    fn candidates(&self, query: &[f32], backend: RetrievalBackend) -> Option<Vec<u64>> {
-        match (self, backend) {
-            (AnnPlane::Hnsw(h), RetrievalBackend::Hnsw { ef_search, .. }) => {
-                Some(h.candidates(query, ef_search))
-            }
-            (AnnPlane::Ivf(iv), RetrievalBackend::Ivf { nprobe, .. }) => {
-                iv.candidates(query, nprobe)
-            }
-            _ => None,
-        }
-    }
-
-    fn stats(&self) -> IndexStats {
-        match self {
-            AnnPlane::Hnsw(h) => h.stats(),
-            AnnPlane::Ivf(iv) => iv.stats(),
-        }
-    }
-}
-
-/// An incrementally growing historical index with epoch-snapshotted
-/// read views.
+/// An incrementally growing historical-incident store with cheap
+/// snapshotted read views: one exact, append-only columnar scan.
 ///
 /// The batch pipeline builds its index once; an on-call deployment
 /// cannot, because the paper's recurrence structure (93.8% of
 /// recurrences within 20 days, Figure 2) means the most valuable
 /// retrieval candidate for an incoming incident is usually one resolved
-/// *hours* ago. This index accepts [`insert`]s as incidents resolve and
-/// [`publish`]es epochs; concurrent readers take [`snapshot`]s and
-/// query them lock-free. Spatially it delegates to
-/// [`rcacopilot_embed::EpochIndex`] (bucketed cells, online growth),
-/// and queries prune cells whose spatial bound cannot reach the current
-/// `k`-th distinct-category similarity — exact, because the temporal
-/// decay factor never exceeds 1.
+/// *hours* ago. This store accepts [`insert`]s as incidents resolve and
+/// [`publish`]es them; readers take [`snapshot`]s (the published chunk
+/// list, `Arc` clones) and query them lock-free.
+///
+/// A row's similarity `1/(1+d) · e^(−α|Δt|)` is at most `e^(−α|Δt|)`, so
+/// the time axis is the index: each chunk's `[min_at, max_at]` zone map
+/// bounds every row in it, chunks are visited in ascending time gap, and
+/// the scan stops at the first chunk whose bound is strictly below the
+/// current `k`-th best per-category similarity. The answer equals the
+/// linear scan's ([`HistoricalIndex::top_k_diverse`]) bit for bit.
 ///
 /// [`insert`]: OnlineHistoricalIndex::insert
 /// [`publish`]: OnlineHistoricalIndex::publish
 /// [`snapshot`]: OnlineHistoricalIndex::snapshot
 #[derive(Debug)]
 pub struct OnlineHistoricalIndex {
-    vectors: EpochIndex,
-    /// ANN candidate tier next to the exact cells (`None` for
-    /// [`RetrievalBackend::Exact`]); working side, published as an
-    /// `Arc` clone at each epoch like the entry chunks.
-    ann: Option<AnnPlane>,
-    ann_published: Option<Arc<AnnPlane>>,
-    backend: RetrievalBackend,
-    entries: EntryChunks,
-    published: EntryChunks,
-    /// Sealed epochs between spatial compactions (0 = never compact).
-    compact_every: usize,
-    epochs_since_compaction: usize,
-    compactions: u64,
+    chunk_rows: usize,
+    category_ids: HashMap<String, u32>,
+    rows: Rows,
+    published: Rows,
+    epoch: u64,
 }
 
 impl Default for OnlineHistoricalIndex {
     fn default() -> Self {
-        OnlineHistoricalIndex::new(64)
+        OnlineHistoricalIndex::with_chunk_rows(ENTRY_CHUNK)
     }
 }
 
 impl OnlineHistoricalIndex {
-    /// Creates an empty exact-backend index with the given spatial
-    /// cell-split threshold.
-    pub fn new(max_cell: usize) -> Self {
-        OnlineHistoricalIndex::with_backend(max_cell, RetrievalBackend::Exact)
+    /// Creates an empty store.
+    pub fn new() -> Self {
+        OnlineHistoricalIndex::default()
     }
 
-    /// Creates an empty index that additionally maintains the given
-    /// backend's ANN candidate structure. The exact bucketed cells are
-    /// always kept — they are the scoring backbone, the cross-shard
-    /// bound source, and the fallback when a query's config asks for a
-    /// different backend kind.
-    pub fn with_backend(max_cell: usize, backend: RetrievalBackend) -> Self {
+    fn with_chunk_rows(chunk_rows: usize) -> Self {
         OnlineHistoricalIndex {
-            vectors: EpochIndex::new(max_cell),
-            ann: AnnPlane::for_backend(backend),
-            ann_published: None,
-            backend,
-            entries: EntryChunks::default(),
-            published: EntryChunks::default(),
-            compact_every: 0,
-            epochs_since_compaction: 0,
-            compactions: 0,
+            chunk_rows: chunk_rows.max(1),
+            category_ids: HashMap::new(),
+            rows: Rows::default(),
+            published: Rows::default(),
+            epoch: 0,
         }
     }
 
     /// Warm-starts from existing history (e.g. a trained pipeline's
-    /// index); every seeded entry is visible to all queries. The first
-    /// epoch is published immediately.
-    pub fn warm(entries: &[HistoricalEntry], max_cell: usize) -> Self {
-        OnlineHistoricalIndex::warm_with(entries, max_cell, RetrievalBackend::Exact)
-    }
-
-    /// [`warm`](OnlineHistoricalIndex::warm) with an ANN backend.
-    pub fn warm_with(
-        entries: &[HistoricalEntry],
-        max_cell: usize,
-        backend: RetrievalBackend,
-    ) -> Self {
-        let mut idx = OnlineHistoricalIndex::with_backend(max_cell, backend);
+    /// index); every seeded entry is visible to all queries, and the
+    /// first epoch is published immediately. `_max_cell` is ignored;
+    /// kept for the benchmark crate.
+    pub fn warm(entries: &[HistoricalEntry], _max_cell: usize) -> Self {
+        let mut idx = OnlineHistoricalIndex::new();
         for e in entries {
             idx.insert(e.clone(), SimTime::EPOCH);
         }
@@ -541,19 +400,14 @@ impl OnlineHistoricalIndex {
         idx
     }
 
-    /// The backend this index maintains a candidate structure for.
-    pub fn backend(&self) -> RetrievalBackend {
-        self.backend
-    }
-
-    /// Footprint report: the exact cells plus the ANN structure if one
-    /// is maintained (both are resident).
+    /// Footprint report of the stored columns.
     pub fn index_stats(&self) -> IndexStats {
-        let mut stats = self.vectors.snapshot().stats();
-        if let Some(ann) = &self.ann {
-            stats.merge(&ann.stats());
+        IndexStats {
+            vectors: self.rows.len,
+            dim: self.rows.dim,
+            chunks: self.rows.chunks.len(),
+            bytes: self.rows.chunks.iter().map(|c| c.column_bytes()).sum(),
         }
-        stats
     }
 
     /// Appends a resolved incident. It reaches readers at the next
@@ -561,163 +415,105 @@ impl OnlineHistoricalIndex {
     /// only for queries at or after `visible_from` (its resolution
     /// instant; pass [`SimTime::EPOCH`] for always-visible history).
     pub fn insert(&mut self, entry: HistoricalEntry, visible_from: SimTime) {
-        let seq = self.entries.len() as u64;
+        let seq = self.rows.len as u64;
         self.insert_at_seq(entry, visible_from, seq);
     }
 
     /// [`insert`](OnlineHistoricalIndex::insert) with an explicit global
     /// sequence number for the retrieval tie-break — the hook
     /// [`ShardedHistoricalIndex`] routes through so entries keep one
-    /// global insertion order across shards. `global_seq` must be
-    /// strictly increasing across calls on the same index.
+    /// global insertion order across shards.
+    ///
+    /// # Panics
+    ///
+    /// If the embedding's dimension differs from the first insert's.
     pub fn insert_at_seq(
         &mut self,
         entry: HistoricalEntry,
         visible_from: SimTime,
         global_seq: u64,
     ) {
-        let local = self.entries.len() as u64;
-        self.vectors
-            .add_at(local, entry.embedding.clone(), entry.at.as_secs());
-        if let Some(ann) = &mut self.ann {
-            ann.insert(local, entry.embedding.clone());
+        if self.rows.len == 0 {
+            self.rows.dim = entry.embedding.len();
         }
-        self.entries.push(OnlineEntry {
-            entry,
-            visible_from,
-            global_seq,
-        });
-    }
-
-    /// Enables epoch compaction: after every `every_epochs` sealed
-    /// epochs, the spatial index is rebuilt into fresh, tight cells
-    /// (`0` disables, the default). Compaction is transparent — query
-    /// answers are byte-identical before and after (property-tested
-    /// below), because retrieval over the bucketed cells is exact with
-    /// insertion-sequence tie-breaks independent of cell layout.
-    pub fn set_compaction_interval(&mut self, every_epochs: usize) {
-        self.compact_every = every_epochs;
-    }
-
-    /// Number of compactions performed so far.
-    pub fn compactions(&self) -> u64 {
-        self.compactions
-    }
-
-    /// The spatial cell-split threshold.
-    pub fn max_cell(&self) -> usize {
-        self.vectors.max_cell()
+        let dim = self.rows.dim;
+        assert_eq!(
+            entry.embedding.len(),
+            dim,
+            "every embedding in one store has the same dimension"
+        );
+        let category = match self.category_ids.get(&entry.category) {
+            Some(&id) => id,
+            None => {
+                let id = u32::try_from(self.category_ids.len())
+                    .expect("fewer than 2^32 categories in one store");
+                self.category_ids.insert(entry.category.clone(), id);
+                id
+            }
+        };
+        if self.rows.len.is_multiple_of(self.chunk_rows) {
+            self.rows
+                .chunks
+                .push(Arc::new(Chunk::with_capacity(self.chunk_rows, dim)));
+        }
+        self.rows.non_finite |= entry.embedding.iter().any(|x| !x.is_finite());
+        let last = self.rows.chunks.last_mut().expect("chunk just ensured");
+        Arc::make_mut(last).push(entry, category, visible_from, global_seq);
+        self.rows.len += 1;
+        self.rows.categories = self.category_ids.len();
     }
 
     /// Number of the currently published epoch (0 = nothing published).
     pub fn epoch(&self) -> u64 {
-        self.vectors.epoch()
+        self.epoch
     }
 
     /// Overrides the epoch counter (checkpoint restore continuity).
     pub fn set_epoch(&mut self, epoch: u64) {
-        self.vectors.set_epoch(epoch);
+        self.epoch = epoch;
     }
 
-    /// Seals the current contents into a new published epoch and returns
-    /// its number. Past the configured compaction interval, the sealed
-    /// epochs are first folded into a freshly compacted spatial index.
+    /// Publishes every row inserted so far and returns the new epoch
+    /// number (a monotone counter).
     pub fn publish(&mut self) -> u64 {
-        self.epochs_since_compaction += 1;
-        if self.compact_every > 0 && self.epochs_since_compaction >= self.compact_every {
-            self.vectors.compact();
-            self.compactions += 1;
-            self.epochs_since_compaction = 0;
-        }
-        let epoch = self.vectors.publish();
-        self.published = self.entries.clone();
-        // Cloning the ANN plane is O(chunks)/O(cells) Arc bumps — the
-        // same copy-on-write contract as the entry chunks above.
-        self.ann_published = self.ann.as_ref().map(|a| Arc::new(a.clone()));
-        epoch
+        self.published = self.rows.clone();
+        self.epoch += 1;
+        self.epoch
     }
 
     /// Entries inserted so far (published or not).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.rows.len
     }
 
     /// True if nothing was inserted.
     pub fn is_empty(&self) -> bool {
-        self.entries.len() == 0
+        self.rows.len == 0
     }
 
-    /// An immutable view of the latest published epoch. Costs
-    /// `O(cells + n/256)` `Arc` clones; safe to hand to another thread.
+    /// An immutable view of the latest published rows. Costs
+    /// `O(n / 256)` `Arc` clones; safe to hand to another thread.
     pub fn snapshot(&self) -> HistorySnapshot {
         HistorySnapshot {
-            index: self.vectors.snapshot(),
-            ann: self.ann_published.clone(),
-            entries: self.published.clone(),
-        }
-    }
-
-    /// Serializes the index state — every inserted entry with its
-    /// visibility instant, in insertion order — for the serving plane's
-    /// write-ahead checkpoint. [`restore`](OnlineHistoricalIndex::restore)
-    /// rebuilds an index answering every query identically: insertion
-    /// order (the retrieval tie-break) is preserved, and epoch-batch
-    /// boundaries are immaterial because visibility is filtered per query
-    /// by `visible_from`, not by epoch membership.
-    pub fn checkpoint(&self) -> EpochCheckpoint {
-        EpochCheckpoint {
-            max_cell: self.max_cell(),
-            epoch: self.epoch(),
-            entries: (0..self.entries.len())
-                .map(|i| {
-                    let stored = self.entries.get(i);
-                    CheckpointEntry {
-                        entry: stored.entry.clone(),
-                        visible_from: stored.visible_from,
-                    }
-                })
-                .collect(),
+            rows: self.published.clone(),
         }
     }
 
     /// Every stored entry with its global sequence number — the raw
     /// material [`ShardedHistoricalIndex::checkpoint`] merges back into
     /// one global-order list.
-    fn seq_entries(&self) -> Vec<(u64, CheckpointEntry)> {
-        (0..self.entries.len())
-            .map(|i| {
-                let stored = self.entries.get(i);
+    fn seq_entries(&self) -> impl Iterator<Item = (u64, CheckpointEntry)> + '_ {
+        self.rows.chunks.iter().flat_map(|c| {
+            (0..c.len()).map(move |r| {
                 (
-                    stored.global_seq,
+                    c.global_seq[r],
                     CheckpointEntry {
-                        entry: stored.entry.clone(),
-                        visible_from: stored.visible_from,
+                        entry: c.entries[r].clone(),
+                        visible_from: c.visible_from[r],
                     },
                 )
             })
-            .collect()
-    }
-
-    /// Rebuilds an index from a [`checkpoint`](OnlineHistoricalIndex::checkpoint):
-    /// entries are re-inserted in their original order and published in
-    /// one epoch, and the epoch counter resumes from the checkpoint.
-    pub fn restore(checkpoint: &EpochCheckpoint) -> Self {
-        OnlineHistoricalIndex::restore_with(checkpoint, RetrievalBackend::Exact)
-    }
-
-    /// [`restore`](OnlineHistoricalIndex::restore) with an ANN backend.
-    /// The ANN structure is rebuilt by re-inserting in the checkpoint's
-    /// order, and since the graph/quantizer is a pure function of the
-    /// insert stream and a fixed seed, the restored candidate sets are
-    /// identical to the crashed index's.
-    pub fn restore_with(checkpoint: &EpochCheckpoint, backend: RetrievalBackend) -> Self {
-        let mut idx = OnlineHistoricalIndex::with_backend(checkpoint.max_cell.max(1), backend);
-        for ce in &checkpoint.entries {
-            idx.insert(ce.entry.clone(), ce.visible_from);
-        }
-        idx.publish();
-        idx.set_epoch(checkpoint.epoch);
-        idx
+        })
     }
 }
 
@@ -731,237 +527,173 @@ pub struct CheckpointEntry {
     pub visible_from: SimTime,
 }
 
-/// A serializable snapshot of an [`OnlineHistoricalIndex`]'s full state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EpochCheckpoint {
-    /// Spatial cell-split threshold to rebuild with.
-    pub max_cell: usize,
-    /// Published epoch number at checkpoint time.
-    pub epoch: u64,
-    /// Every inserted entry, in insertion order.
-    pub entries: Vec<CheckpointEntry>,
-}
-
 /// A sealed read view of one [`OnlineHistoricalIndex`] epoch.
 #[derive(Debug, Clone)]
 pub struct HistorySnapshot {
-    index: Arc<BucketedIndex>,
-    /// Published ANN candidate structure, if the index maintains one.
-    ann: Option<Arc<AnnPlane>>,
-    entries: EntryChunks,
+    rows: Rows,
 }
 
-/// The retrieval ranking's "strictly better" relation on
-/// `(similarity, global_seq)`: higher similarity wins, earlier global
-/// insertion breaks ties — shared by the exact scan and the ANN re-rank
-/// so both produce bit-identical per-category representatives.
-fn better_rep(a: (f64, u64), b: (f64, u64)) -> bool {
-    match a.0.total_cmp(&b.0) {
-        std::cmp::Ordering::Greater => true,
-        std::cmp::Ordering::Less => false,
-        std::cmp::Ordering::Equal => a.1 < b.1,
-    }
+/// One category's best row: its similarity, global sequence number and
+/// position in the snapshot.
+#[derive(Debug, Clone, Copy)]
+struct Rep {
+    similarity: f64,
+    global_seq: u64,
+    chunk: usize,
+    row: usize,
 }
 
-/// Final ranking of per-category best `(similarity, global_seq, local)`
-/// representatives: `(similarity desc, global_seq asc)`, cut to `k`.
-fn rank_reps(
-    best: std::collections::BTreeMap<&str, (f64, u64, usize)>,
+/// The retrieval ranking: higher similarity first, earlier global
+/// insertion breaks ties — the linear scan's stable-sort order.
+fn rank(a: &Rep, b: &Rep) -> CmpOrdering {
+    b.similarity
+        .total_cmp(&a.similarity)
+        .then(a.global_seq.cmp(&b.global_seq))
+}
+
+/// The `k` best per-category similarities seen so far, whose minimum is
+/// the scan's pruning threshold. A category's best only ever rises, so it
+/// either moves up in place or enters by evicting the minimum.
+struct KthBest {
     k: usize,
-) -> Vec<(u64, f64, usize)> {
-    let mut reps: Vec<(u64, f64, usize)> =
-        best.into_values().map(|(s, seq, i)| (seq, s, i)).collect();
-    reps.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    reps.truncate(k);
-    reps
+    top: Vec<(f64, u32)>,
+    kth: f64,
+}
+
+impl KthBest {
+    fn new(k: usize) -> Self {
+        KthBest {
+            k,
+            top: Vec::new(),
+            kth: f64::NEG_INFINITY,
+        }
+    }
+
+    /// Records that `category`'s best similarity rose to `sim`.
+    fn raise(&mut self, category: u32, sim: f64) {
+        if let Some(slot) = self.top.iter_mut().find(|t| t.1 == category) {
+            slot.0 = sim;
+        } else if self.top.len() < self.k {
+            self.top.push((sim, category));
+        } else {
+            let min = (0..self.top.len())
+                .min_by(|&a, &b| self.top[a].0.total_cmp(&self.top[b].0))
+                .expect("k > 0");
+            if sim <= self.top[min].0 {
+                return;
+            }
+            self.top[min] = (sim, category);
+        }
+        if self.top.len() == self.k {
+            self.kth = self.top.iter().map(|t| t.0).fold(f64::INFINITY, f64::min);
+        }
+    }
 }
 
 impl HistorySnapshot {
     /// Entries in this epoch (before per-query visibility filtering).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.rows.len
     }
 
     /// True if the epoch holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.len() == 0
+        self.rows.len == 0
     }
 
     /// Entries visible to a query at `at`.
     pub fn visible_len(&self, at: SimTime) -> usize {
-        (0..self.entries.len())
-            .filter(|&i| self.entries.get(i).visible_from <= at)
-            .count()
-    }
-
-    /// Safe upper bound on the temporal-decay factor of any entry in a
-    /// cell whose nearest timestamp is `min_dt_secs` away. Exact-safe:
-    /// the integer Δt is converted through the *same* seconds→days path
-    /// the per-entry similarity uses, and every step (u64→f64, ×alpha,
-    /// exp) is monotone, so the bound can never round below a real
-    /// entry's factor.
-    fn decay_bound(min_dt_secs: u64, alpha: f64) -> f64 {
-        (-alpha * SimDuration::from_secs(min_dt_secs).as_days_f64()).exp()
-    }
-
-    /// Best similarity any entry of this snapshot could reach for a
-    /// query at `query_time` — the max over cells of the combined
-    /// spatial × temporal bound. `f64::NEG_INFINITY` when empty. The
-    /// cross-shard merge uses this to visit shards best-first and stop
-    /// early.
-    pub fn best_bound(&self, query_embedding: &[f32], query_time: SimTime, alpha: f64) -> f64 {
-        let qsecs = query_time.as_secs();
-        self.index
-            .prune_scan(query_embedding)
+        self.rows
+            .chunks
             .iter()
-            .map(|scan| {
-                let spatial = 1.0 / (1.0 + scan.lower_bound);
-                spatial * Self::decay_bound(scan.min_abs_dt_secs(qsecs), alpha)
-            })
-            .fold(f64::NEG_INFINITY, f64::max)
+            .map(|c| c.visible_from.iter().filter(|&&v| v <= at).count())
+            .sum()
     }
 
-    /// Bound-pruned exact retrieval of this snapshot's per-category best
-    /// entries as `(global_seq, similarity, local index)`, at most
-    /// `config.k` of them, ranked by `(similarity desc, global_seq
-    /// asc)`.
+    fn entry(&self, rep: &Rep) -> &HistoricalEntry {
+        &self.rows.chunks[rep.chunk].entries[rep.row]
+    }
+
+    /// Exact retrieval of this snapshot's best rows of distinct
+    /// categories, at most `config.k` of them, in [`rank`] order.
     ///
-    /// Cells are visited in spatial-lower-bound order. Once `k` category
-    /// representatives exist, a cell is *skipped* when even its combined
-    /// spatial × temporal bound cannot beat the current `k`-th
-    /// similarity, and the scan *stops* when the spatial bound alone
-    /// cannot (the spatial bound is monotone in scan order; the combined
-    /// bound is not, so it only ever skips). Tie-breaking follows the
-    /// linear scan's stable sort: higher similarity first, then earlier
-    /// global insertion.
+    /// Chunks are visited in ascending zone-map gap to `query_time`. No
+    /// row of a chunk with gap `g` scores above `decay(g)`, and gaps only
+    /// grow along the visit, so once that bound is strictly below the
+    /// `k`-th best per-category similarity no later row can enter the
+    /// top `k`; a row whose own decay factor is below it is skipped
+    /// without computing its distance. Both thresholds are strict: a tie
+    /// could still win on `global_seq`. The bounds assume `α ≥ 0` and
+    /// finite embeddings; otherwise every visible row is scored.
     fn diverse_reps(
         &self,
         query_embedding: &[f32],
         query_time: SimTime,
         config: &RetrievalConfig,
-    ) -> Vec<(u64, f64, usize)> {
-        debug_assert!(
-            query_embedding.iter().all(|x| x.is_finite()),
-            "query embedding must be finite"
-        );
-        // ANN path: the configured structure proposes candidates, the
-        // exact similarity re-ranks them. When the candidate set covers
-        // every visible entry (saturation), the per-category bests and
-        // the final ranking are computed by the very same code over the
-        // very same values as the exact scan — byte-identical answers.
-        if let Some(cands) = self
-            .ann
-            .as_deref()
-            .and_then(|a| a.candidates(query_embedding, config.backend))
-        {
-            return self.rerank_candidates(&cands, query_embedding, query_time, config);
+    ) -> Vec<Rep> {
+        let (k, alpha) = (config.k, config.alpha);
+        if k == 0 || self.rows.len == 0 {
+            return Vec::new();
         }
-        let qsecs = query_time.as_secs();
-        // Best (similarity, global seq, local index) per category.
-        let mut best: std::collections::BTreeMap<&str, (f64, u64, usize)> =
-            std::collections::BTreeMap::new();
-        for scan in self.index.prune_scan(query_embedding) {
-            if best.len() >= config.k {
-                // k-th best category representative so far.
-                let mut sims: Vec<f64> = best.values().map(|&(s, _, _)| s).collect();
-                sims.sort_by(|a, b| b.total_cmp(a));
-                let kth = sims[config.k - 1];
-                let spatial = 1.0 / (1.0 + scan.lower_bound);
-                // The spatial bound is monotone across the ordered scan:
-                // once it falls below the k-th similarity (even through a
-                // zero time gap), no later cell can contribute.
-                if spatial.total_cmp(&kth) == std::cmp::Ordering::Less {
-                    break;
-                }
-                // The temporal-decay factor is not monotone in scan
-                // order, so a cell disqualified by age alone is skipped,
-                // not a stopping point. Strict comparison: a bound that
-                // *ties* the k-th could still hide an entry winning on
-                // insertion order.
-                let upper = spatial * Self::decay_bound(scan.min_abs_dt_secs(qsecs), config.alpha);
-                if upper.total_cmp(&kth) == std::cmp::Ordering::Less {
+        let prune = alpha.is_finite()
+            && alpha >= 0.0
+            && !self.rows.non_finite
+            && query_embedding.iter().all(|x| x.is_finite());
+        let mut order: Vec<(SimDuration, usize)> = self
+            .rows
+            .chunks
+            .iter()
+            .enumerate()
+            .map(|(c, chunk)| (chunk.gap(query_time), c))
+            .collect();
+        order.sort_unstable();
+        let dim = self.rows.dim;
+        let mut best: Vec<Option<Rep>> = vec![None; self.rows.categories];
+        let mut kth = KthBest::new(k);
+        for (gap, c) in order {
+            if prune && decay(gap, alpha) < kth.kth {
+                break;
+            }
+            let chunk = &self.rows.chunks[c];
+            for r in 0..chunk.len() {
+                if chunk.visible_from[r] > query_time {
                     continue;
                 }
-            }
-            for (local, _) in scan.items() {
-                let i = local as usize;
-                let stored = self.entries.get(i);
-                if stored.visible_from > query_time {
+                let factor = decay(chunk.at[r].abs_diff(query_time), alpha);
+                if prune && factor < kth.kth {
                     continue;
                 }
-                let dist = euclidean(query_embedding, &stored.entry.embedding);
-                let dt = stored.entry.at.abs_diff(query_time).as_days_f64();
-                let sim = similarity(dist, dt, config.alpha);
-                let cand = (sim, stored.global_seq, i);
-                match best.entry(stored.entry.category.as_str()) {
-                    std::collections::btree_map::Entry::Vacant(v) => {
-                        v.insert(cand);
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut o) => {
-                        let cur = *o.get();
-                        if better_rep((cand.0, cand.1), (cur.0, cur.1)) {
-                            o.insert(cand);
-                        }
-                    }
+                let dist = euclidean(query_embedding, &chunk.embeddings[r * dim..(r + 1) * dim]);
+                // The same expression as `similarity`, so the bits agree.
+                let cand = Rep {
+                    similarity: (1.0 / (1.0 + dist)) * factor,
+                    global_seq: chunk.global_seq[r],
+                    chunk: c,
+                    row: r,
+                };
+                let cat = chunk.category[r];
+                let slot = &mut best[cat as usize];
+                if slot.is_none_or(|cur| rank(&cand, &cur) == CmpOrdering::Less) {
+                    *slot = Some(cand);
+                    kth.raise(cat, cand.similarity);
                 }
             }
         }
-        rank_reps(best, config.k)
-    }
-
-    /// Exact temporal-decay re-rank of an ANN candidate set.
-    ///
-    /// `cands` holds local entry indexes proposed by the candidate
-    /// structure. Each visible candidate is scored with the *same* f64
-    /// similarity as the exact scan, reduced to per-category bests via
-    /// [`better_rep`], and ranked via [`rank_reps`] — so the only way
-    /// this can differ from the exact path is by candidates the ANN
-    /// structure failed to propose.
-    fn rerank_candidates(
-        &self,
-        cands: &[u64],
-        query_embedding: &[f32],
-        query_time: SimTime,
-        config: &RetrievalConfig,
-    ) -> Vec<(u64, f64, usize)> {
-        let mut best: std::collections::BTreeMap<&str, (f64, u64, usize)> =
-            std::collections::BTreeMap::new();
-        for &local in cands {
-            let i = local as usize;
-            if i >= self.entries.len() {
-                // A published graph can briefly run ahead of the sealed
-                // entry chunks between publishes; ignore unknown ids.
-                continue;
-            }
-            let stored = self.entries.get(i);
-            if stored.visible_from > query_time {
-                continue;
-            }
-            let dist = euclidean(query_embedding, &stored.entry.embedding);
-            let dt = stored.entry.at.abs_diff(query_time).as_days_f64();
-            let sim = similarity(dist, dt, config.alpha);
-            let cand = (sim, stored.global_seq, i);
-            match best.entry(stored.entry.category.as_str()) {
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert(cand);
-                }
-                std::collections::btree_map::Entry::Occupied(mut o) => {
-                    let cur = *o.get();
-                    if better_rep((cand.0, cand.1), (cur.0, cur.1)) {
-                        o.insert(cand);
-                    }
-                }
-            }
-        }
-        rank_reps(best, config.k)
+        let mut reps: Vec<Rep> = best
+            .into_iter()
+            .flatten()
+            .filter(|rep| !prune || rep.similarity >= kth.kth)
+            .collect();
+        reps.sort_by(rank);
+        reps.truncate(k);
+        reps
     }
 }
 
 impl HistoryView for HistorySnapshot {
-    /// Bound-pruned exact retrieval (see `HistorySnapshot::diverse_reps`,
-    /// private): the answer is
-    /// byte-identical to [`HistoricalIndex::top_k_diverse`] over the
-    /// same visible entries.
+    /// Zone-map-pruned exact retrieval (see `HistorySnapshot::diverse_reps`,
+    /// private): the answer is byte-identical to
+    /// [`HistoricalIndex::top_k_diverse`] over the same visible entries.
     fn top_k_diverse(
         &self,
         query_embedding: &[f32],
@@ -969,39 +701,34 @@ impl HistoryView for HistorySnapshot {
         config: &RetrievalConfig,
     ) -> Vec<Neighbor<'_>> {
         self.diverse_reps(query_embedding, query_time, config)
-            .into_iter()
-            .map(|(_, sim, i)| Neighbor {
-                entry: &self.entries.get(i).entry,
-                similarity: sim,
+            .iter()
+            .map(|rep| Neighbor {
+                entry: self.entry(rep),
+                similarity: rep.similarity,
             })
             .collect()
     }
 
     fn len(&self) -> usize {
-        self.entries.len()
+        self.rows.len
     }
 }
 
 /// A category-sharded [`OnlineHistoricalIndex`]: the serving plane's
-/// retrieval index split into `N` independently locked shards.
+/// retrieval store split into `N` independently locked shards.
 ///
 /// Routing is by [`shard_for_category`], so every entry of a category
 /// lives in exactly one shard and each shard's per-category best is
-/// already globally correct. Three invariants keep query answers — and
-/// therefore the serving engine's prediction log — **byte-identical** to
-/// one unsharded index, for any shard count:
+/// already the global one. Query answers — and therefore the serving
+/// engine's prediction log — are **byte-identical** to one unsharded
+/// store for any shard count, because:
 ///
 /// 1. **Global sequence numbers.** The router allocates one monotonically
 ///    increasing `global_seq` per insert; cross-category similarity ties
-///    resolve on it exactly as a single index's insertion order would.
-/// 2. **Exact per-shard retrieval.** Each shard answers with its
-///    bound-pruned exact per-category representatives
-///    (`HistorySnapshot::diverse_reps`, private).
-/// 3. **Bounded merge.** Shards are visited in descending
-///    [`HistorySnapshot::best_bound`] order (spatial × temporal-decay
-///    upper bound); once `k` representatives are held and the next
-///    shard's bound is *strictly* below the `k`-th similarity, the
-///    remaining shards are skipped — a work win, not just a lock split.
+///    resolve on it exactly as a single store's insertion order would.
+/// 2. **Exact per-shard retrieval.** Each shard answers with its exact
+///    top-`k` category representatives; the merge ranks their union and
+///    cuts it to `k`.
 ///
 /// All methods take `&self`: shard locks are internal, and a lock
 /// poisoned by a dying worker thread is recovered (and counted) rather
@@ -1014,22 +741,15 @@ pub struct ShardedHistoricalIndex {
 }
 
 impl ShardedHistoricalIndex {
-    /// An empty index with `shards` shards (clamped to ≥ 1), each with
-    /// the given spatial cell-split threshold.
-    pub fn new(shards: usize, max_cell: usize) -> Self {
-        Self::new_with(shards, max_cell, RetrievalBackend::Exact)
+    /// An empty index with `shards` shards (clamped to ≥ 1).
+    pub fn new(shards: usize) -> Self {
+        Self::with_chunk_rows(shards, ENTRY_CHUNK)
     }
 
-    /// An empty index whose shards each maintain the candidate structure
-    /// for `backend` (see [`OnlineHistoricalIndex::with_backend`]). Each
-    /// shard builds its *own* ANN graph over its own entries; the
-    /// bound-ordered cross-shard merge is unchanged because
-    /// [`HistorySnapshot::best_bound`] is still computed from the exact
-    /// bucketed cells.
-    pub fn new_with(shards: usize, max_cell: usize, backend: RetrievalBackend) -> Self {
+    fn with_chunk_rows(shards: usize, chunk_rows: usize) -> Self {
         ShardedHistoricalIndex {
             shards: (0..shards.max(1))
-                .map(|_| Mutex::new(OnlineHistoricalIndex::with_backend(max_cell, backend)))
+                .map(|_| Mutex::new(OnlineHistoricalIndex::with_chunk_rows(chunk_rows)))
                 .collect(),
             next_seq: AtomicU64::new(0),
             poison_recoveries: AtomicU64::new(0),
@@ -1038,18 +758,8 @@ impl ShardedHistoricalIndex {
 
     /// Warm-starts from existing history in slice order (matching
     /// [`OnlineHistoricalIndex::warm`]) and publishes every shard.
-    pub fn warm(entries: &[HistoricalEntry], shards: usize, max_cell: usize) -> Self {
-        Self::warm_with(entries, shards, max_cell, RetrievalBackend::Exact)
-    }
-
-    /// [`warm`](Self::warm) with a retrieval backend for every shard.
-    pub fn warm_with(
-        entries: &[HistoricalEntry],
-        shards: usize,
-        max_cell: usize,
-        backend: RetrievalBackend,
-    ) -> Self {
-        let idx = ShardedHistoricalIndex::new_with(shards, max_cell, backend);
+    pub fn warm(entries: &[HistoricalEntry], shards: usize) -> Self {
+        let idx = ShardedHistoricalIndex::new(shards);
         for e in entries {
             idx.insert(e.clone(), SimTime::EPOCH);
         }
@@ -1057,8 +767,7 @@ impl ShardedHistoricalIndex {
         idx
     }
 
-    /// Aggregated candidate-structure statistics across shards (exact
-    /// bucketed cells merged with any ANN graph/quantizer footprint).
+    /// Store footprint summed across shards.
     pub fn index_stats(&self) -> IndexStats {
         let mut total = IndexStats::default();
         for s in 0..self.shards.len() {
@@ -1107,21 +816,6 @@ impl ShardedHistoricalIndex {
         for s in 0..self.shards.len() {
             self.lock_shard(s).publish();
         }
-    }
-
-    /// Sets every shard's epoch-compaction interval
-    /// (see [`OnlineHistoricalIndex::set_compaction_interval`]).
-    pub fn set_compaction_interval(&self, every_epochs: usize) {
-        for s in 0..self.shards.len() {
-            self.lock_shard(s).set_compaction_interval(every_epochs);
-        }
-    }
-
-    /// Total spatial compactions across shards.
-    pub fn compactions(&self) -> u64 {
-        (0..self.shards.len())
-            .map(|s| self.lock_shard(s).compactions())
-            .sum()
     }
 
     /// One shard's published epoch number.
@@ -1174,16 +868,14 @@ impl ShardedHistoricalIndex {
     pub fn checkpoint(&self) -> ShardedCheckpoint {
         let mut seqd: Vec<(u64, CheckpointEntry)> = Vec::new();
         let mut shard_epochs = Vec::with_capacity(self.shards.len());
-        let mut max_cell = 1;
         for s in 0..self.shards.len() {
             let guard = self.lock_shard(s);
             seqd.extend(guard.seq_entries());
             shard_epochs.push(guard.epoch());
-            max_cell = guard.max_cell();
         }
         seqd.sort_by_key(|&(seq, _)| seq);
         ShardedCheckpoint {
-            max_cell,
+            max_cell: CHECKPOINT_MAX_CELL,
             shard_epochs,
             entries: seqd.into_iter().map(|(_, e)| e).collect(),
         }
@@ -1197,20 +889,7 @@ impl ShardedHistoricalIndex {
     /// epoch numbering is journal bookkeeping and never affects query
     /// answers.
     pub fn restore(checkpoint: &ShardedCheckpoint, shards: usize) -> Self {
-        Self::restore_with(checkpoint, shards, RetrievalBackend::Exact)
-    }
-
-    /// [`restore`](Self::restore) with a retrieval backend for every
-    /// shard. The backend is a parameter (not checkpoint state): the
-    /// seeded ANN graph is a pure function of the re-inserted entry
-    /// stream, so the owning engine re-applies its configured backend
-    /// and reproduces the same graph.
-    pub fn restore_with(
-        checkpoint: &ShardedCheckpoint,
-        shards: usize,
-        backend: RetrievalBackend,
-    ) -> Self {
-        let idx = ShardedHistoricalIndex::new_with(shards, checkpoint.max_cell.max(1), backend);
+        let idx = ShardedHistoricalIndex::new(shards);
         for ce in &checkpoint.entries {
             idx.insert(ce.entry.clone(), ce.visible_from);
         }
@@ -1227,7 +906,8 @@ impl ShardedHistoricalIndex {
 /// A serializable snapshot of a [`ShardedHistoricalIndex`]'s full state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardedCheckpoint {
-    /// Spatial cell-split threshold to rebuild with.
+    /// Always 64 and ignored on restore: the store has no cells, and the
+    /// field keeps checkpoint records in their journaled format.
     pub max_cell: usize,
     /// Per-shard published epoch numbers at checkpoint time (length =
     /// the checkpointing index's shard count).
@@ -1256,56 +936,30 @@ impl ShardedHistorySnapshot {
 
 impl HistoryView for ShardedHistorySnapshot {
     /// Cross-shard top-`k` distinct-category merge, byte-identical to a
-    /// single [`HistorySnapshot`] over the same entries: shards are
-    /// visited best-bound-first, each contributes its exact per-category
-    /// representatives, and the running top-`k` is re-ranked by
-    /// `(similarity desc, global_seq asc)`. Once the next shard's bound
-    /// is strictly below the `k`-th similarity, every remaining shard is
-    /// skipped (their bounds are no larger).
+    /// single [`HistorySnapshot`] over the same entries: categories
+    /// partition across shards, so the union of the shards' exact
+    /// representatives, ranked and cut to `k`, is the global answer.
     fn top_k_diverse(
         &self,
         query_embedding: &[f32],
         query_time: SimTime,
         config: &RetrievalConfig,
     ) -> Vec<Neighbor<'_>> {
-        // (shard, bound), best bound first; shard index breaks ties so
-        // the visit order — though not the answer — is deterministic.
-        let mut order: Vec<(usize, f64)> = self
+        let mut reps: Vec<(Rep, &HistorySnapshot)> = self
             .shards
             .iter()
-            .enumerate()
-            .map(|(s, snap)| {
-                (
-                    s,
-                    snap.best_bound(query_embedding, query_time, config.alpha),
-                )
+            .flat_map(|snap| {
+                snap.diverse_reps(query_embedding, query_time, config)
+                    .into_iter()
+                    .map(move |rep| (rep, snap))
             })
             .collect();
-        order.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        // (global_seq, similarity, shard, local index)
-        let mut reps: Vec<(u64, f64, usize, usize)> = Vec::new();
-        for (s, bound) in order {
-            if reps.len() >= config.k {
-                let kth = reps[config.k - 1].1;
-                if bound.total_cmp(&kth) == std::cmp::Ordering::Less {
-                    break;
-                }
-            }
-            reps.extend(
-                self.shards[s]
-                    .diverse_reps(query_embedding, query_time, config)
-                    .into_iter()
-                    .map(|(seq, sim, i)| (seq, sim, s, i)),
-            );
-            // Categories partition across shards, so representatives
-            // never collide: rank and cut to k directly.
-            reps.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-            reps.truncate(config.k);
-        }
+        reps.sort_by(|a, b| rank(&a.0, &b.0));
+        reps.truncate(config.k);
         reps.into_iter()
-            .map(|(_, sim, s, i)| Neighbor {
-                entry: &self.shards[s].entries.get(i).entry,
-                similarity: sim,
+            .map(|(rep, snap)| Neighbor {
+                entry: snap.entry(&rep),
+                similarity: rep.similarity,
             })
             .collect()
     }
@@ -1408,6 +1062,27 @@ mod tests {
     }
 
     #[test]
+    fn k_zero_returns_nothing_from_every_view() {
+        let entries: Vec<HistoricalEntry> = (0..6)
+            .map(|i| entry(i, &format!("Cat{}", i % 3), i as u64, vec![i as f32]))
+            .collect();
+        let mut linear = HistoricalIndex::new();
+        for e in &entries {
+            linear.add(e.clone());
+        }
+        let online = OnlineHistoricalIndex::warm(&entries, 0).snapshot();
+        let sharded = ShardedHistoricalIndex::warm(&entries, 3).snapshot();
+        let cfg = RetrievalConfig {
+            k: 0,
+            ..RetrievalConfig::default()
+        };
+        let at = SimTime::from_days(3);
+        assert!(linear.top_k_diverse(&[1.0], at, &cfg).is_empty());
+        assert!(HistoryView::top_k_diverse(&online, &[1.0], at, &cfg).is_empty());
+        assert!(HistoryView::top_k_diverse(&sharded, &[1.0], at, &cfg).is_empty());
+    }
+
+    #[test]
     fn online_snapshot_matches_linear_index() {
         let mut linear = HistoricalIndex::new();
         for i in 0..40usize {
@@ -1418,7 +1093,7 @@ mod tests {
                 vec![(i % 5) as f32, (i % 3) as f32 * 2.0],
             ));
         }
-        let online = OnlineHistoricalIndex::warm(linear.entries(), 4);
+        let online = OnlineHistoricalIndex::warm(linear.entries(), 0);
         let snap = online.snapshot();
         assert_eq!(HistoryView::len(&snap), linear.len());
         let cfg = RetrievalConfig {
@@ -1437,83 +1112,43 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_restore_round_trips_queries_and_epoch() {
-        let mut online = OnlineHistoricalIndex::new(4);
-        for i in 0..25usize {
-            online.insert(
-                entry(
-                    i,
-                    &format!("Cat{}", i % 6),
-                    (i as u64 * 11) % 200,
-                    vec![(i % 4) as f32, (i % 7) as f32],
-                ),
-                SimTime::from_days((i as u64 * 3) % 100),
-            );
-            if i % 5 == 4 {
-                online.publish();
-            }
+    fn zone_maps_bound_each_chunk_and_stats_count_columns() {
+        let mut online = OnlineHistoricalIndex::with_chunk_rows(3);
+        // Out-of-order timestamps: the second chunk's zone map is loose.
+        for (i, day) in [5u64, 1, 9, 40, 2, 30, 7].into_iter().enumerate() {
+            online.insert(entry(i, "A", day, vec![0.0, 1.0]), SimTime::EPOCH);
         }
-        let ckpt = online.checkpoint();
-        assert_eq!(ckpt.entries.len(), online.len());
-        let restored = OnlineHistoricalIndex::restore(&ckpt);
-        assert_eq!(restored.len(), online.len());
-        assert_eq!(restored.epoch(), online.epoch());
-        let cfg = RetrievalConfig {
-            k: 4,
-            alpha: 0.3,
-            ..RetrievalConfig::default()
-        };
-        let (a, b) = (online.snapshot(), restored.snapshot());
-        for day in [0u64, 40, 90, 300] {
-            let at = SimTime::from_days(day);
-            assert_eq!(
-                HistoryView::top_k_diverse(&a, &[1.0, 2.0], at, &cfg),
-                HistoryView::top_k_diverse(&b, &[1.0, 2.0], at, &cfg),
-                "restored index must answer identically at day {day}"
-            );
-            assert_eq!(a.visible_len(at), b.visible_len(at));
-        }
-        // The checkpoint survives a serde round trip (WAL requirement).
-        let json = serde_json::to_string(&ckpt).expect("serializable");
-        let back: EpochCheckpoint = serde_json::from_str(&json).expect("parseable");
-        assert_eq!(back, ckpt);
-    }
-
-    #[test]
-    fn compaction_interval_folds_epochs_and_counts() {
-        let mut online = OnlineHistoricalIndex::new(2);
-        online.set_compaction_interval(3);
-        for i in 0..18usize {
-            online.insert(
-                entry(i, &format!("Cat{}", i % 4), i as u64, vec![i as f32 * 0.5]),
-                SimTime::EPOCH,
-            );
-            online.publish();
-        }
-        assert_eq!(online.compactions(), 6, "every third publish compacts");
-        let snap = online.snapshot();
-        assert_eq!(snap.len(), 18);
-        let cfg = RetrievalConfig {
-            k: 4,
-            alpha: 0.0,
-            ..RetrievalConfig::default()
-        };
-        let hits = HistoryView::top_k_diverse(&snap, &[0.0], SimTime::from_days(1), &cfg);
-        assert_eq!(hits.len(), 4);
-        assert_eq!(hits[0].entry.id, 0);
+        let zones: Vec<(u64, u64)> = online
+            .rows
+            .chunks
+            .iter()
+            .map(|c| (c.min_at.as_secs() / 86_400, c.max_at.as_secs() / 86_400))
+            .collect();
+        assert_eq!(zones, vec![(1, 9), (2, 40), (7, 7)]);
+        let q = SimTime::from_days(20);
+        let gaps: Vec<u64> = online
+            .rows
+            .chunks
+            .iter()
+            .map(|c| c.gap(q).as_secs())
+            .collect();
+        assert_eq!(gaps, vec![11 * 86_400, 0, 13 * 86_400]);
+        let stats = online.index_stats();
+        assert_eq!((stats.vectors, stats.dim, stats.chunks), (7, 2, 3));
+        assert!(stats.bytes >= 7 * (2 * 4 + 4 + 8 + 8 + 8));
     }
 
     #[test]
     fn online_insert_respects_visibility_and_epochs() {
-        let mut online = OnlineHistoricalIndex::new(8);
+        let mut online = OnlineHistoricalIndex::new();
         online.insert(entry(0, "A", 10, vec![0.0]), SimTime::EPOCH);
         // Not yet published: snapshots are empty.
         assert!(online.snapshot().is_empty());
-        online.publish();
+        assert_eq!(online.publish(), 1);
         let first_epoch = online.snapshot();
         // Resolved on day 50: invisible to queries before that.
         online.insert(entry(1, "B", 50, vec![0.0]), SimTime::from_days(50));
-        online.publish();
+        assert_eq!(online.publish(), 2, "publish returns a monotone counter");
         assert_eq!(first_epoch.len(), 1, "sealed epoch must not move");
         let snap = online.snapshot();
         assert_eq!(snap.len(), 2);
@@ -1529,6 +1164,41 @@ mod tests {
         assert_eq!(early[0].entry.category, "A");
         let late = HistoryView::top_k_diverse(&snap, &[0.0], SimTime::from_days(60), &cfg);
         assert_eq!(late.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "same dimension")]
+    fn mixed_dimensions_are_rejected() {
+        let mut online = OnlineHistoricalIndex::new();
+        online.insert(entry(0, "A", 1, vec![0.0, 1.0]), SimTime::EPOCH);
+        online.insert(entry(1, "B", 1, vec![0.0]), SimTime::EPOCH);
+    }
+
+    #[test]
+    fn non_finite_inputs_fall_back_to_a_full_scan() {
+        let mut linear = HistoricalIndex::new();
+        for i in 0..12usize {
+            let x = if i == 4 { f32::NAN } else { i as f32 };
+            linear.add(entry(i, &format!("Cat{}", i % 4), i as u64 * 30, vec![x]));
+        }
+        let online = OnlineHistoricalIndex::warm(linear.entries(), 0);
+        let snap = online.snapshot();
+        let cfg = RetrievalConfig {
+            k: 2,
+            alpha: 0.3,
+            ..RetrievalConfig::default()
+        };
+        let at = SimTime::from_days(330);
+        for q in [[1.0f32], [f32::INFINITY]] {
+            let want = linear.top_k_diverse(&q, at, &cfg);
+            let got = HistoryView::top_k_diverse(&snap, &q, at, &cfg);
+            let ids = |v: &[Neighbor<'_>]| -> Vec<(usize, u64)> {
+                v.iter()
+                    .map(|n| (n.entry.id, n.similarity.to_bits()))
+                    .collect()
+            };
+            assert_eq!(ids(&got), ids(&want), "query {q:?}");
+        }
     }
 
     #[test]
@@ -1549,8 +1219,8 @@ mod tests {
 
     #[test]
     fn sharded_index_matches_unsharded_queries_and_routing() {
-        let mut single = OnlineHistoricalIndex::new(4);
-        let sharded = ShardedHistoricalIndex::new(3, 4);
+        let mut single = OnlineHistoricalIndex::new();
+        let sharded = ShardedHistoricalIndex::new(3);
         for i in 0..40usize {
             let e = entry(
                 i,
@@ -1572,6 +1242,7 @@ mod tests {
         assert_eq!(sharded.len(), single.len());
         assert_eq!(sharded.shard_count(), 3);
         assert_eq!(sharded.poison_recoveries(), 0);
+        assert_eq!(sharded.index_stats().vectors, 40);
         let (a, b) = (single.snapshot(), sharded.snapshot());
         assert_eq!(b.shard_views().len(), 3);
         let cfg = RetrievalConfig {
@@ -1594,7 +1265,7 @@ mod tests {
 
     #[test]
     fn sharded_checkpoint_restores_across_shard_counts() {
-        let sharded = ShardedHistoricalIndex::new(4, 3);
+        let sharded = ShardedHistoricalIndex::new(4);
         for i in 0..30usize {
             sharded.insert(
                 entry(
@@ -1613,6 +1284,7 @@ mod tests {
         let ckpt = sharded.checkpoint();
         assert_eq!(ckpt.entries.len(), sharded.len());
         assert_eq!(ckpt.shard_epochs.len(), 4);
+        assert_eq!(ckpt.max_cell, CHECKPOINT_MAX_CELL);
         // Entries come out in global insertion order.
         for (i, ce) in ckpt.entries.iter().enumerate() {
             assert_eq!(ce.entry.id, i);
@@ -1654,8 +1326,8 @@ mod tests {
         // Identical embeddings and timestamps across categories: ranking
         // is decided purely by insertion order, which must survive
         // sharding even though the entries land in different shards.
-        let mut single = OnlineHistoricalIndex::new(2);
-        let sharded = ShardedHistoricalIndex::new(8, 2);
+        let mut single = OnlineHistoricalIndex::new();
+        let sharded = ShardedHistoricalIndex::new(8);
         for i in 0..12usize {
             let e = entry(100 - i, &format!("Cat{i}"), 10, vec![1.0, 1.0]);
             single.insert(e.clone(), SimTime::EPOCH);
@@ -1677,200 +1349,57 @@ mod tests {
         let ids: Vec<usize> = b.iter().map(|n| n.entry.id).collect();
         assert_eq!(ids, vec![100, 99, 98, 97, 96, 95]);
     }
-
-    /// A deterministic little incident cloud shared by the backend tests:
-    /// duplicate embeddings and timestamps to stress tie-breaks.
-    fn backend_cloud(n: usize) -> Vec<HistoricalEntry> {
-        (0..n)
-            .map(|i| {
-                entry(
-                    i,
-                    &format!("Cat{}", i % 7),
-                    (i as u64 * 13) % 300,
-                    vec![(i % 5) as f32, (i % 3) as f32, (i % 2) as f32],
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn saturated_hnsw_answers_byte_identical_to_exact() {
-        let entries = backend_cloud(60);
-        let exact = OnlineHistoricalIndex::warm(&entries, 4);
-        // ef_search far above the corpus size: the graph saturates and
-        // proposes every entry, so the exact re-rank sees the full set.
-        let hnsw = OnlineHistoricalIndex::warm_with(
-            &entries,
-            4,
-            RetrievalBackend::Hnsw {
-                m: 4,
-                ef_construction: 16,
-                ef_search: 1_000_000,
-            },
-        );
-        let (a, b) = (exact.snapshot(), hnsw.snapshot());
-        for day in [0u64, 50, 150, 299] {
-            let at = SimTime::from_days(day);
-            for k in [1usize, 3, 7] {
-                let cfg_a = RetrievalConfig {
-                    k,
-                    alpha: 0.3,
-                    ..RetrievalConfig::default()
-                };
-                let cfg_b = RetrievalConfig {
-                    k,
-                    alpha: 0.3,
-                    backend: RetrievalBackend::Hnsw {
-                        m: 4,
-                        ef_construction: 16,
-                        ef_search: 1_000_000,
-                    },
-                };
-                assert_eq!(
-                    HistoryView::top_k_diverse(&a, &[1.0, 1.0, 0.0], at, &cfg_a),
-                    HistoryView::top_k_diverse(&b, &[1.0, 1.0, 0.0], at, &cfg_b),
-                    "day {day} k {k}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn backend_kind_mismatch_falls_back_to_exact_scan() {
-        let entries = backend_cloud(40);
-        let hnsw = OnlineHistoricalIndex::warm_with(&entries, 4, RetrievalBackend::hnsw());
-        let snap = hnsw.snapshot();
-        let at = SimTime::from_days(100);
-        // Query config says Ivf but the plane holds an HNSW graph: the
-        // snapshot must ignore the graph and run the exact scan, which
-        // is trivially identical to a plain exact index.
-        let exact_snap = OnlineHistoricalIndex::warm(&entries, 4).snapshot();
-        let cfg_ivf = RetrievalConfig {
-            k: 5,
-            alpha: 0.3,
-            backend: RetrievalBackend::ivf(),
-        };
-        let cfg_exact = RetrievalConfig {
-            k: 5,
-            alpha: 0.3,
-            ..RetrievalConfig::default()
-        };
-        assert_eq!(
-            HistoryView::top_k_diverse(&snap, &[0.5, 0.5, 0.5], at, &cfg_ivf),
-            HistoryView::top_k_diverse(&exact_snap, &[0.5, 0.5, 0.5], at, &cfg_exact),
-        );
-    }
-
-    #[test]
-    fn ivf_backend_stages_until_trained_then_answers_saturated() {
-        // ncells 2 → quantizer trains after 2 × IVF_TRAIN_FACTOR inserts;
-        // nprobe ≥ cell count → every probe saturates (full recall).
-        let backend = RetrievalBackend::Ivf {
-            ncells: 2,
-            nprobe: 64,
-        };
-        let entries = backend_cloud(50);
-        let exact = OnlineHistoricalIndex::warm(&entries, 4);
-        let ivf = OnlineHistoricalIndex::warm_with(&entries, 4, backend);
-        let (a, b) = (exact.snapshot(), ivf.snapshot());
-        let cfg_a = RetrievalConfig {
-            k: 5,
-            alpha: 0.3,
-            ..RetrievalConfig::default()
-        };
-        let cfg_b = RetrievalConfig {
-            k: 5,
-            alpha: 0.3,
-            backend,
-        };
-        for day in [0u64, 120, 299] {
-            let at = SimTime::from_days(day);
-            assert_eq!(
-                HistoryView::top_k_diverse(&a, &[2.0, 1.0, 1.0], at, &cfg_a),
-                HistoryView::top_k_diverse(&b, &[2.0, 1.0, 1.0], at, &cfg_b),
-                "day {day}"
-            );
-        }
-        // Below the training threshold the quantizer is still staging:
-        // candidates() yields None and the exact scan answers.
-        let few = OnlineHistoricalIndex::warm_with(&entries[..8], 4, backend);
-        let few_exact = OnlineHistoricalIndex::warm(&entries[..8], 4);
-        assert_eq!(
-            HistoryView::top_k_diverse(
-                &few.snapshot(),
-                &[0.0, 0.0, 0.0],
-                SimTime::from_days(50),
-                &cfg_b
-            ),
-            HistoryView::top_k_diverse(
-                &few_exact.snapshot(),
-                &[0.0, 0.0, 0.0],
-                SimTime::from_days(50),
-                &cfg_a
-            ),
-        );
-    }
-
-    #[test]
-    fn index_stats_reports_ann_footprint() {
-        let entries = backend_cloud(40);
-        let exact = OnlineHistoricalIndex::warm(&entries, 4);
-        let stats = exact.index_stats();
-        assert_eq!(stats.vectors, 40);
-        assert_eq!(stats.dim, 3);
-        assert!(stats.cells > 0);
-        assert_eq!(stats.layers, 0, "exact backend has no graph layers");
-        assert!(stats.bytes > 0);
-        let hnsw = OnlineHistoricalIndex::warm_with(&entries, 4, RetrievalBackend::hnsw());
-        let hs = hnsw.index_stats();
-        // Bucketed vectors + graph vectors are both counted.
-        assert_eq!(hs.vectors, 80);
-        assert!(hs.layers >= 1, "graph contributes at least the base layer");
-        assert!(hs.edges > 0);
-        assert!(hs.bytes > stats.bytes);
-        // Sharded aggregation sums across shards.
-        let sharded = ShardedHistoricalIndex::warm_with(&entries, 3, 4, RetrievalBackend::hnsw());
-        let ss = sharded.index_stats();
-        assert_eq!(ss.vectors, 80);
-        assert_eq!(ss.dim, 3);
-    }
-
-    #[test]
-    fn restore_with_backend_reproduces_answers_and_stats() {
-        let backend = RetrievalBackend::Hnsw {
-            m: 4,
-            ef_construction: 16,
-            ef_search: 8,
-        };
-        let sharded = ShardedHistoricalIndex::warm_with(&backend_cloud(45), 3, 4, backend);
-        let ckpt = sharded.checkpoint();
-        let cfg = RetrievalConfig {
-            k: 4,
-            alpha: 0.3,
-            backend,
-        };
-        let reference = sharded.snapshot();
-        // The checkpoint stores no graph: the seeded rebuild reproduces
-        // it exactly, including across shard-count changes at the same
-        // shard count (per-shard graphs are functions of shard streams).
-        let restored = ShardedHistoricalIndex::restore_with(&ckpt, 3, backend);
-        assert_eq!(restored.index_stats(), sharded.index_stats());
-        let snap = restored.snapshot();
-        for day in [0u64, 75, 290] {
-            let at = SimTime::from_days(day);
-            assert_eq!(
-                HistoryView::top_k_diverse(&reference, &[1.0, 2.0, 0.0], at, &cfg),
-                HistoryView::top_k_diverse(&snap, &[1.0, 2.0, 0.0], at, &cfg),
-                "day {day}"
-            );
-        }
-    }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+
+    /// `(id, similarity bits)` of each neighbor: what byte identity of
+    /// two answers means.
+    fn fingerprint(hits: &[Neighbor<'_>]) -> Vec<(usize, u64)> {
+        hits.iter()
+            .map(|n| (n.entry.id, n.similarity.to_bits()))
+            .collect()
+    }
+
+    /// The linear oracle over the entries visible at `at`, in insertion
+    /// order.
+    fn oracle(entries: &[(HistoricalEntry, SimTime)], at: SimTime) -> HistoricalIndex {
+        let mut linear = HistoricalIndex::new();
+        for (e, visible_from) in entries {
+            if *visible_from <= at {
+                linear.add(e.clone());
+            }
+        }
+        linear
+    }
+
+    /// Entries from `(day, category, x, y, visible day)` specs, inserted
+    /// in spec order — so timestamps arrive out of order. The small
+    /// grids make duplicate embeddings and timestamps across categories
+    /// common, which only the `global_seq` tie-break can order.
+    fn entries(specs: &[(u64, usize, i32, i32, u64)]) -> Vec<(HistoricalEntry, SimTime)> {
+        specs
+            .iter()
+            .enumerate()
+            .map(|(i, &(day, cat, x, y, vis))| {
+                (
+                    HistoricalEntry {
+                        id: i,
+                        category: format!("Cat{cat}"),
+                        summary: String::new(),
+                        at: SimTime::from_days(day),
+                        embedding: vec![x as f32, y as f32],
+                    },
+                    SimTime::from_days(vis),
+                )
+            })
+            .collect()
+    }
+
+    const QUERIES: [[f32; 2]; 3] = [[0.0, 0.0], [1.5, 2.5], [3.0, 0.0]];
 
     proptest! {
         #[test]
@@ -1893,7 +1422,7 @@ mod proptests {
 
         #[test]
         fn top_k_diverse_is_sorted_and_distinct(
-            k in 1usize..8,
+            k in 0usize..8,
             days in proptest::collection::vec(0u64..364, 1..30)
         ) {
             let mut idx = HistoricalIndex::new();
@@ -1918,237 +1447,87 @@ mod proptests {
             prop_assert_eq!(cats.len(), before, "duplicate categories in demos");
         }
 
-        /// Epoch compaction is invisible to queries: an index that
-        /// compacts on a short interval answers byte-identically to one
-        /// that never compacts, for arbitrary entry clouds (duplicate
-        /// embeddings stress the insertion-order tie-break), publish
-        /// cadences, visibility horizons and query times.
+        /// The store answers exactly as the linear scan over the visible
+        /// entries — same ids, same order, same similarity bits — with
+        /// out-of-order inserts (loose zone maps), queries anywhere in
+        /// history (the scan runs both ways), α = 0 (nothing pruned),
+        /// duplicate embeddings and timestamps across categories (the
+        /// `global_seq` tie-break), `visible_from` filtering, publishes
+        /// mid-stream, `k = 0`, and chunks of 1–4 rows so small corpora
+        /// cross many chunk boundaries.
         #[test]
-        fn compaction_never_changes_query_results(
-            k in 1usize..8,
-            alpha in 0.0f64..2.0,
-            max_cell in 1usize..8,
-            compact_every in 1usize..4,
+        fn store_equals_linear_scan(
+            k in 0usize..8,
+            alpha in proptest::sample::select(vec![0.0f64, 0.02, 0.3, 2.0]),
+            chunk_rows in 1usize..5,
             publish_every in 1usize..5,
-            query_day in 0u64..364,
+            query_day in 0u64..70,
             specs in proptest::collection::vec(
-                (0u64..364, 0usize..6, 0i32..4, 0i32..4, 0u64..200), 1..40)
+                (0u64..60, 0usize..6, 0i32..4, 0i32..4, 0u64..60), 1..60)
         ) {
-            let mut plain = OnlineHistoricalIndex::new(max_cell);
-            let mut compacting = OnlineHistoricalIndex::new(max_cell);
-            compacting.set_compaction_interval(compact_every);
-            for (i, &(day, cat, x, y, vis)) in specs.iter().enumerate() {
-                let e = HistoricalEntry {
-                    id: i,
-                    category: format!("Cat{cat}"),
-                    summary: String::new(),
-                    at: SimTime::from_days(day),
-                    embedding: vec![x as f32, y as f32],
-                };
-                let visible = SimTime::from_days(vis);
-                plain.insert(e.clone(), visible);
-                compacting.insert(e, visible);
+            let entries = entries(&specs);
+            let mut store = OnlineHistoricalIndex::with_chunk_rows(chunk_rows);
+            for (i, (e, visible_from)) in entries.iter().enumerate() {
+                store.insert(e.clone(), *visible_from);
                 if (i + 1) % publish_every == 0 {
-                    plain.publish();
-                    compacting.publish();
+                    store.publish();
                 }
             }
-            plain.publish();
-            compacting.publish();
+            store.publish();
+            let snap = store.snapshot();
             let cfg = RetrievalConfig { k, alpha, ..RetrievalConfig::default() };
             let at = SimTime::from_days(query_day);
-            let (a, b) = (plain.snapshot(), compacting.snapshot());
-            for q in [[0.0f32, 0.0], [1.5, 2.5], [3.0, 0.0]] {
+            let linear = oracle(&entries, at);
+            prop_assert_eq!(snap.visible_len(at), linear.len());
+            for q in QUERIES {
                 prop_assert_eq!(
-                    HistoryView::top_k_diverse(&a, &q, at, &cfg),
-                    HistoryView::top_k_diverse(&b, &q, at, &cfg)
+                    fingerprint(&HistoryView::top_k_diverse(&snap, &q, at, &cfg)),
+                    fingerprint(&linear.top_k_diverse(&q, at, &cfg)),
+                    "query {:?}", q
                 );
             }
         }
 
-        /// The bound-pruned online snapshot must return *exactly* the
-        /// linear scan's answer — same entries, same order, same
-        /// similarities — for arbitrary entry clouds, duplicate
-        /// embeddings (tie-break stress) and query times.
+        /// Sharding is invisible to queries: for any shard count the
+        /// merged answer equals the linear scan's, and so does the answer
+        /// after a checkpoint is restored into a different shard count.
         #[test]
-        fn online_snapshot_equals_linear_scan(
-            k in 1usize..8,
-            alpha in 0.0f64..2.0,
-            max_cell in 1usize..10,
-            query_day in 0u64..364,
-            specs in proptest::collection::vec(
-                (0u64..364, 0usize..6, 0i32..4, 0i32..4), 1..50)
-        ) {
-            let mut linear = HistoricalIndex::new();
-            for (i, &(day, cat, x, y)) in specs.iter().enumerate() {
-                linear.add(HistoricalEntry {
-                    id: i,
-                    category: format!("Cat{cat}"),
-                    summary: String::new(),
-                    at: SimTime::from_days(day),
-                    // Small integer grid: plenty of exact ties.
-                    embedding: vec![x as f32, y as f32],
-                });
-            }
-            let online = OnlineHistoricalIndex::warm(linear.entries(), max_cell);
-            let snap = online.snapshot();
-            let cfg = RetrievalConfig { k, alpha, ..RetrievalConfig::default() };
-            let at = SimTime::from_days(query_day);
-            for q in [[0.0f32, 0.0], [1.5, 2.5], [3.0, 0.0]] {
-                let a = linear.top_k_diverse(&q, at, &cfg);
-                let b = HistoryView::top_k_diverse(&snap, &q, at, &cfg);
-                prop_assert_eq!(a, b);
-            }
-        }
-
-        /// Sharding is invisible to queries: for any shard count, entry
-        /// cloud (duplicate embeddings stress the global-sequence
-        /// tie-break), visibility horizon, decay rate and query time, the
-        /// cross-shard bounded merge answers byte-identically — same
-        /// entries, same order, same similarities — to one unsharded
-        /// index over the same insertion sequence.
-        #[test]
-        fn sharded_equals_unsharded(
-            k in 1usize..8,
-            alpha in 0.0f64..2.0,
-            max_cell in 1usize..8,
+        fn sharded_store_and_its_restore_equal_linear_scan(
+            k in 0usize..8,
+            alpha in proptest::sample::select(vec![0.0f64, 0.02, 0.3, 2.0]),
             shards in 1usize..9,
-            publish_every in 1usize..5,
-            query_day in 0u64..364,
+            restore_shards in 1usize..9,
+            chunk_rows in 1usize..5,
+            query_day in 0u64..70,
             specs in proptest::collection::vec(
-                (0u64..364, 0usize..6, 0i32..4, 0i32..4, 0u64..200), 1..50)
+                (0u64..60, 0usize..6, 0i32..4, 0i32..4, 0u64..60), 1..50)
         ) {
-            let mut single = OnlineHistoricalIndex::new(max_cell);
-            let sharded = ShardedHistoricalIndex::new(shards, max_cell);
-            for (i, &(day, cat, x, y, vis)) in specs.iter().enumerate() {
-                let e = HistoricalEntry {
-                    id: i,
-                    category: format!("Cat{cat}"),
-                    summary: String::new(),
-                    at: SimTime::from_days(day),
-                    // Small integer grid: plenty of exact ties.
-                    embedding: vec![x as f32, y as f32],
-                };
-                let visible = SimTime::from_days(vis);
-                single.insert(e.clone(), visible);
-                let s = sharded.insert(e, visible);
-                if (i + 1) % publish_every == 0 {
-                    single.publish();
+            let entries = entries(&specs);
+            let sharded = ShardedHistoricalIndex::with_chunk_rows(shards, chunk_rows);
+            for (i, (e, visible_from)) in entries.iter().enumerate() {
+                let s = sharded.insert(e.clone(), *visible_from);
+                if i % 3 == 0 {
                     sharded.publish(s);
                 }
             }
-            single.publish();
             sharded.publish_all();
-            prop_assert_eq!(sharded.len(), single.len());
+            prop_assert_eq!(sharded.len(), entries.len());
+            let restored = ShardedHistoricalIndex::restore(&sharded.checkpoint(), restore_shards);
             let cfg = RetrievalConfig { k, alpha, ..RetrievalConfig::default() };
             let at = SimTime::from_days(query_day);
-            let (a, b) = (single.snapshot(), sharded.snapshot());
-            for q in [[0.0f32, 0.0], [1.5, 2.5], [3.0, 0.0]] {
+            let linear = oracle(&entries, at);
+            let (a, b) = (sharded.snapshot(), restored.snapshot());
+            for q in QUERIES {
+                let want = fingerprint(&linear.top_k_diverse(&q, at, &cfg));
                 prop_assert_eq!(
-                    HistoryView::top_k_diverse(&a, &q, at, &cfg),
-                    HistoryView::top_k_diverse(&b, &q, at, &cfg),
-                    "{} shards, query {:?}", sharded.shard_count(), q
-                );
-            }
-        }
-
-        /// The byte-identity contract of the ANN tier: at 100% candidate
-        /// recall (`ef_search` ≥ corpus size saturates the graph; `nprobe`
-        /// ≥ cell count saturates the quantizer) the HNSW and IVF
-        /// backends answer byte-identically — same entries, same order,
-        /// same f64 similarities — to the exact backend, for any shard
-        /// count, entry cloud (duplicate embeddings stress the
-        /// global-sequence tie-break), publish cadence, visibility
-        /// horizon, decay rate and query time.
-        #[test]
-        fn saturated_ann_backends_equal_exact(
-            k in 1usize..8,
-            alpha in 0.0f64..2.0,
-            max_cell in 1usize..8,
-            shards in 1usize..5,
-            m in 2usize..8,
-            publish_every in 1usize..5,
-            query_day in 0u64..364,
-            specs in proptest::collection::vec(
-                (0u64..364, 0usize..6, 0i32..4, 0i32..4, 0u64..200), 1..40)
-        ) {
-            let hnsw = RetrievalBackend::Hnsw {
-                m, ef_construction: 8, ef_search: usize::MAX,
-            };
-            let ivf = RetrievalBackend::Ivf { ncells: 2, nprobe: usize::MAX };
-            let exact_idx = ShardedHistoricalIndex::new(shards, max_cell);
-            let hnsw_idx = ShardedHistoricalIndex::new_with(shards, max_cell, hnsw);
-            let ivf_idx = ShardedHistoricalIndex::new_with(shards, max_cell, ivf);
-            for (i, &(day, cat, x, y, vis)) in specs.iter().enumerate() {
-                let e = HistoricalEntry {
-                    id: i,
-                    category: format!("Cat{cat}"),
-                    summary: String::new(),
-                    at: SimTime::from_days(day),
-                    embedding: vec![x as f32, y as f32],
-                };
-                let visible = SimTime::from_days(vis);
-                exact_idx.insert(e.clone(), visible);
-                hnsw_idx.insert(e.clone(), visible);
-                ivf_idx.insert(e, visible);
-                if (i + 1) % publish_every == 0 {
-                    exact_idx.publish_all();
-                    hnsw_idx.publish_all();
-                    ivf_idx.publish_all();
-                }
-            }
-            exact_idx.publish_all();
-            hnsw_idx.publish_all();
-            ivf_idx.publish_all();
-            let cfg_exact = RetrievalConfig { k, alpha, ..RetrievalConfig::default() };
-            let cfg_hnsw = RetrievalConfig { k, alpha, backend: hnsw };
-            let cfg_ivf = RetrievalConfig { k, alpha, backend: ivf };
-            let at = SimTime::from_days(query_day);
-            let (se, sh, si) =
-                (exact_idx.snapshot(), hnsw_idx.snapshot(), ivf_idx.snapshot());
-            for q in [[0.0f32, 0.0], [1.5, 2.5], [3.0, 0.0]] {
-                let want = HistoryView::top_k_diverse(&se, &q, at, &cfg_exact);
-                prop_assert_eq!(
+                    &fingerprint(&HistoryView::top_k_diverse(&a, &q, at, &cfg)),
                     &want,
-                    &HistoryView::top_k_diverse(&sh, &q, at, &cfg_hnsw),
-                    "hnsw: {} shards, query {:?}", shards, q
+                    "{} shards, query {:?}", shards, q
                 );
                 prop_assert_eq!(
+                    &fingerprint(&HistoryView::top_k_diverse(&b, &q, at, &cfg)),
                     &want,
-                    &HistoryView::top_k_diverse(&si, &q, at, &cfg_ivf),
-                    "ivf: {} shards, query {:?}", shards, q
-                );
-            }
-        }
-
-        /// Non-saturated HNSW retrieval is *deterministic*: two indexes
-        /// built from the same insertion stream with the same seed answer
-        /// identically at any `ef_search`, even when recall is partial.
-        #[test]
-        fn hnsw_retrieval_is_deterministic_at_any_ef(
-            ef in 1usize..16,
-            query_day in 0u64..364,
-            specs in proptest::collection::vec(
-                (0u64..364, 0usize..6, 0i32..4, 0i32..4), 1..40)
-        ) {
-            let backend = RetrievalBackend::Hnsw { m: 4, ef_construction: 8, ef_search: ef };
-            let entries: Vec<HistoricalEntry> = specs.iter().enumerate().map(
-                |(i, &(day, cat, x, y))| HistoricalEntry {
-                    id: i,
-                    category: format!("Cat{cat}"),
-                    summary: String::new(),
-                    at: SimTime::from_days(day),
-                    embedding: vec![x as f32, y as f32],
-                }).collect();
-            let a = OnlineHistoricalIndex::warm_with(&entries, 4, backend);
-            let b = OnlineHistoricalIndex::warm_with(&entries, 4, backend);
-            let cfg = RetrievalConfig { k: 5, alpha: 0.3, backend };
-            let at = SimTime::from_days(query_day);
-            let (sa, sb) = (a.snapshot(), b.snapshot());
-            for q in [[0.0f32, 0.0], [1.5, 2.5]] {
-                prop_assert_eq!(
-                    HistoryView::top_k_diverse(&sa, &q, at, &cfg),
-                    HistoryView::top_k_diverse(&sb, &q, at, &cfg)
+                    "restored into {} shards, query {:?}", restore_shards, q
                 );
             }
         }

@@ -1,1329 +1,30 @@
-//! Nearest-neighbor indexes over dense embeddings.
-//!
-//! The retrieval stage needs Euclidean nearest neighbors (paper §4.2.2).
-//! [`BruteForceIndex`] is exact; [`IvfIndex`] adds a k-means coarse
-//! quantizer (inverted file) for larger deployments, trading a little
-//! recall for sublinear probing. [`BucketedIndex`] is the *online* exact
-//! index behind the serving plane: vectors are routed into metric cells
-//! that split as they grow, queries prune cells with triangle-inequality
-//! lower bounds, and [`EpochIndex`] layers cheap epoch-snapshotted read
-//! views on top so concurrent readers never observe a half-applied
-//! insert.
+//! Footprint reporting for the retrieval store.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use serde::Serialize;
 
-/// Squared Euclidean distance.
-fn d2(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
-/// Structural footprint report of an index: what the bench JSON and the
-/// serving report surface so memory regressions are visible.
-///
-/// `cells` counts IVF/bucketed cells, `layers` HNSW graph layers, and
-/// `edges` HNSW adjacency entries; fields that don't apply to a given
-/// index are zero. `bytes` is an estimate of resident size from the
-/// structure's own accounting, not an allocator measurement.
+/// Structural footprint report of the retrieval store: what the bench
+/// JSON and the serving report surface so memory regressions are
+/// visible. `bytes` is an estimate of the stored columns' resident size
+/// from the store's own accounting, not an allocator measurement.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct IndexStats {
-    /// Indexed vectors.
+    /// Stored vectors.
     pub vectors: usize,
     /// Vector dimensionality (0 while empty).
     pub dim: usize,
-    /// Metric/quantizer cells (bucketed, IVF).
-    pub cells: usize,
-    /// Graph layers (HNSW).
-    pub layers: usize,
-    /// Graph edges (HNSW).
-    pub edges: usize,
+    /// Row chunks.
+    pub chunks: usize,
     /// Estimated resident bytes.
     pub bytes: usize,
 }
 
 impl IndexStats {
     /// Folds another report into this one (cross-shard aggregation):
-    /// counts add, `dim`/`layers` take the max.
+    /// counts add, `dim` takes the max.
     pub fn merge(&mut self, other: &IndexStats) {
         self.vectors += other.vectors;
         self.dim = self.dim.max(other.dim);
-        self.cells += other.cells;
-        self.layers = self.layers.max(other.layers);
-        self.edges += other.edges;
+        self.chunks += other.chunks;
         self.bytes += other.bytes;
-    }
-}
-
-/// An exact nearest-neighbor index.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct BruteForceIndex {
-    ids: Vec<u64>,
-    vectors: Vec<Vec<f32>>,
-}
-
-impl BruteForceIndex {
-    /// Creates an empty index.
-    pub fn new() -> Self {
-        BruteForceIndex::default()
-    }
-
-    /// Adds a vector under `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vector`'s dimension differs from previously added ones.
-    pub fn add(&mut self, id: u64, vector: Vec<f32>) {
-        if let Some(first) = self.vectors.first() {
-            assert_eq!(first.len(), vector.len(), "dimension mismatch");
-        }
-        self.ids.push(id);
-        self.vectors.push(vector);
-    }
-
-    /// Number of indexed vectors.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// True if nothing is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// The `k` nearest neighbors of `query` as `(id, euclidean distance)`,
-    /// closest first.
-    pub fn knn(&self, query: &[f32], k: usize) -> Vec<(u64, f32)> {
-        let mut hits: Vec<(u64, f32)> = self
-            .ids
-            .iter()
-            .zip(&self.vectors)
-            .map(|(&id, v)| (id, d2(query, v)))
-            .collect();
-        // total_cmp, not partial_cmp: a non-finite distance (degenerate
-        // vector upstream) gets a deterministic rank instead of a panic.
-        hits.sort_by(|a, b| a.1.total_cmp(&b.1));
-        hits.truncate(k);
-        hits.into_iter().map(|(id, d)| (id, d.sqrt())).collect()
-    }
-
-    /// Structure report (see [`IndexStats`]).
-    pub fn stats(&self) -> IndexStats {
-        let dim = self.vectors.first().map_or(0, Vec::len);
-        IndexStats {
-            vectors: self.len(),
-            dim,
-            cells: 0,
-            layers: 0,
-            edges: 0,
-            bytes: self.len() * (dim * 4 + 8 + std::mem::size_of::<Vec<f32>>()),
-        }
-    }
-}
-
-/// One IVF cell: `(id, vector)` pairs behind an [`Arc`] for cheap
-/// copy-on-write snapshots.
-type IvfCell = Arc<Vec<(u64, Vec<f32>)>>;
-
-/// An inverted-file index: k-means coarse quantizer + per-cell lists.
-///
-/// Cells sit behind [`Arc`]s so cloning the index (the epoch-snapshot
-/// operation when it backs the online retrieval plane) costs `O(cells)`,
-/// and a post-snapshot [`insert`](IvfIndex::insert) pays one
-/// copy-on-write of the receiving cell only.
-#[derive(Debug, Clone)]
-pub struct IvfIndex {
-    centroids: Vec<Vec<f32>>,
-    cells: Vec<IvfCell>,
-    /// Number of cells probed per query.
-    nprobe: usize,
-}
-
-impl IvfIndex {
-    /// Builds an IVF index over `(id, vector)` pairs with `ncells` k-means
-    /// cells, probing `nprobe` cells per query.
-    ///
-    /// Degenerate arguments degrade instead of panicking: an empty
-    /// `items` yields an empty index (no centroids, every query answers
-    /// empty), and zero `ncells`/`nprobe` are clamped to 1.
-    pub fn build(items: &[(u64, Vec<f32>)], ncells: usize, nprobe: usize, seed: u64) -> Self {
-        if items.is_empty() {
-            return IvfIndex {
-                centroids: Vec::new(),
-                cells: Vec::new(),
-                nprobe: nprobe.max(1),
-            };
-        }
-        let ncells = ncells.max(1).min(items.len());
-        let nprobe = nprobe.max(1);
-        let dim = items[0].1.len();
-        let mut rng = SmallRng::seed_from_u64(seed);
-
-        // K-means++ -lite init: random distinct points.
-        let mut centroids: Vec<Vec<f32>> = Vec::with_capacity(ncells);
-        let mut chosen = std::collections::BTreeSet::new();
-        while centroids.len() < ncells {
-            let i = rng.gen_range(0..items.len());
-            if chosen.insert(i) {
-                centroids.push(items[i].1.clone());
-            }
-        }
-
-        // Lloyd iterations.
-        let mut assignment = vec![0usize; items.len()];
-        for _ in 0..12 {
-            let mut changed = false;
-            for (i, (_, v)) in items.iter().enumerate() {
-                let best = nearest_centroid(&centroids, v);
-                if assignment[i] != best {
-                    assignment[i] = best;
-                    changed = true;
-                }
-            }
-            let mut sums = vec![vec![0.0f32; dim]; ncells];
-            let mut counts = vec![0usize; ncells];
-            for (i, (_, v)) in items.iter().enumerate() {
-                counts[assignment[i]] += 1;
-                for (s, x) in sums[assignment[i]].iter_mut().zip(v) {
-                    *s += x;
-                }
-            }
-            for (c, (sum, count)) in centroids.iter_mut().zip(sums.iter().zip(&counts)) {
-                if *count > 0 {
-                    for (cv, s) in c.iter_mut().zip(sum) {
-                        *cv = s / *count as f32;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-
-        let mut cells: Vec<Vec<(u64, Vec<f32>)>> = vec![Vec::new(); ncells];
-        for (i, (id, v)) in items.iter().enumerate() {
-            cells[assignment[i]].push((*id, v.clone()));
-        }
-        IvfIndex {
-            centroids,
-            cells: cells.into_iter().map(Arc::new).collect(),
-            nprobe: nprobe.min(ncells),
-        }
-    }
-
-    /// Total vectors indexed.
-    pub fn len(&self) -> usize {
-        self.cells.iter().map(|c| c.len()).sum()
-    }
-
-    /// True if the index holds no vectors.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of quantizer cells.
-    pub fn cell_count(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// The default probe width this index was built with.
-    pub fn nprobe(&self) -> usize {
-        self.nprobe
-    }
-
-    /// Appends a vector to its nearest cell without recentering — the
-    /// online growth path when IVF backs the serving plane's retrieval
-    /// index. The quantizer stays frozen at its build-time centroids, so
-    /// routing (and therefore every query answer) is independent of when
-    /// snapshots were taken in between.
-    ///
-    /// On an empty (never built) index the vector seeds a single cell
-    /// whose centroid is the vector itself.
-    pub fn insert(&mut self, id: u64, vector: Vec<f32>) {
-        if self.centroids.is_empty() {
-            self.centroids.push(vector.clone());
-            self.cells.push(Arc::new(vec![(id, vector)]));
-            return;
-        }
-        let cell = nearest_centroid(&self.centroids, &vector);
-        Arc::make_mut(&mut self.cells[cell]).push((id, vector));
-    }
-
-    /// Ids of all vectors in the `nprobe` cells whose centroids are
-    /// closest to `query`, ranked by true distance (ties by cell scan
-    /// order) — the candidate set an exact re-ranker consumes. With
-    /// `nprobe >= cell_count` every id is returned: guaranteed 100%
-    /// candidate recall, mirroring the HNSW saturation rule.
-    pub fn candidates(&self, query: &[f32], nprobe: usize) -> Vec<u64> {
-        let mut order: Vec<(usize, f32)> = self
-            .centroids
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (i, d2(c, query)))
-            .collect();
-        order.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        let mut hits: Vec<(f32, usize, u64)> = Vec::new();
-        for (pos, &(cell, _)) in order.iter().take(nprobe.max(1)).enumerate() {
-            for (id, v) in self.cells[cell].iter() {
-                hits.push((d2(v, query), pos, *id));
-            }
-        }
-        hits.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-        hits.into_iter().map(|(_, _, id)| id).collect()
-    }
-
-    /// Approximate `k` nearest neighbors of `query`, closest first,
-    /// probing the build-time `nprobe` cells.
-    pub fn knn(&self, query: &[f32], k: usize) -> Vec<(u64, f32)> {
-        // Rank cells by centroid distance, probe the closest `nprobe`.
-        let mut order: Vec<(usize, f32)> = self
-            .centroids
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (i, d2(c, query)))
-            .collect();
-        order.sort_by(|a, b| a.1.total_cmp(&b.1));
-        let mut hits: Vec<(u64, f32)> = Vec::new();
-        for &(cell, _) in order.iter().take(self.nprobe) {
-            for (id, v) in self.cells[cell].iter() {
-                hits.push((*id, d2(v, query)));
-            }
-        }
-        hits.sort_by(|a, b| a.1.total_cmp(&b.1));
-        hits.truncate(k);
-        hits.into_iter().map(|(id, d)| (id, d.sqrt())).collect()
-    }
-
-    /// Structure report (see [`IndexStats`]).
-    pub fn stats(&self) -> IndexStats {
-        let dim = self.centroids.first().map_or(0, Vec::len);
-        let n = self.len();
-        IndexStats {
-            vectors: n,
-            dim,
-            cells: self.cells.len(),
-            layers: 0,
-            edges: 0,
-            bytes: (n + self.centroids.len()) * (dim * 4 + 8 + std::mem::size_of::<Vec<f32>>()),
-        }
-    }
-}
-
-/// One vector stored in a [`BucketedIndex`] cell.
-#[derive(Debug, Clone, PartialEq)]
-struct BucketItem {
-    /// Caller-assigned id.
-    id: u64,
-    /// Insertion sequence number — the tie-break that keeps pruned
-    /// queries byte-compatible with [`BruteForceIndex`]'s stable sort.
-    seq: u64,
-    /// Timestamp in integer seconds ([`BucketedIndex::add_at`]; 0 for
-    /// plain [`BucketedIndex::add`]). Kept as an integer so the cell
-    /// time-range bounds below are *exact* — a float roundtrip could
-    /// overstate a Δt and wrongly prune a boundary entry.
-    t: u64,
-    vector: Vec<f32>,
-}
-
-/// One metric cell: a centroid, a covering radius, and its vectors.
-///
-/// `items` sits behind an [`Arc`] so cloning the whole index (the epoch
-/// snapshot operation) costs `O(cells)`, not `O(vectors)`; a writer that
-/// touches a shared cell pays one copy-on-write of that cell only.
-#[derive(Debug, Clone)]
-struct Cell {
-    centroid: Vec<f32>,
-    /// Upper bound (in squared-distance-free euclidean terms) on the
-    /// distance from `centroid` to any item in the cell. Only grows on
-    /// insert; splits recompute it exactly.
-    radius: f32,
-    /// Earliest item timestamp in the cell (seconds; `u64::MAX` while
-    /// empty). Exact — maintained in integer arithmetic.
-    t_min: u64,
-    /// Latest item timestamp in the cell (seconds; 0 while empty).
-    t_max: u64,
-    items: Arc<Vec<BucketItem>>,
-}
-
-impl Cell {
-    fn new(centroid: Vec<f32>) -> Self {
-        Cell {
-            centroid,
-            radius: 0.0,
-            t_min: u64::MAX,
-            t_max: 0,
-            items: Arc::new(Vec::new()),
-        }
-    }
-}
-
-/// A view of one cell during a pruned scan, ordered by its spatial
-/// lower bound.
-#[derive(Debug)]
-pub struct CellScan<'a> {
-    /// Conservative lower bound (euclidean, padded for f32 rounding) on
-    /// the distance from the query to *any* vector in this cell.
-    pub lower_bound: f64,
-    /// Exact `[t_min, t_max]` timestamp range of the cell's items.
-    t_min: u64,
-    t_max: u64,
-    items: &'a [BucketItem],
-}
-
-impl CellScan<'_> {
-    /// `(id, vector)` pairs of the cell, insertion order.
-    pub fn items(&self) -> impl Iterator<Item = (u64, &[f32])> {
-        self.items.iter().map(|it| (it.id, it.vector.as_slice()))
-    }
-
-    /// Exact lower bound, in integer seconds, on `|t − item.t|` over the
-    /// cell's items: 0 when `t` falls inside the cell's time range,
-    /// otherwise the distance to the nearest endpoint. Feeding this
-    /// through the same seconds→days conversion the per-entry similarity
-    /// uses yields a temporal-decay *upper* bound that is safe against
-    /// float rounding (both paths are monotone in the integer Δt).
-    pub fn min_abs_dt_secs(&self, t: u64) -> u64 {
-        if self.t_min > self.t_max {
-            // Empty cell: report an infinite gap so decay bounds it to ~0.
-            return u64::MAX;
-        }
-        if t < self.t_min {
-            self.t_min - t
-        } else {
-            t.saturating_sub(self.t_max)
-        }
-    }
-}
-
-/// Multiplicative + additive padding applied to cell radii when deriving
-/// lower bounds: radii are maintained in `f32`, so an unpadded bound
-/// could overstate the true `f64` distance by a few ulps and wrongly
-/// prune a boundary vector.
-const RADIUS_PAD: f64 = 1e-5;
-
-/// An exact nearest-neighbor index that supports *online* growth.
-///
-/// Vectors are routed to the nearest cell centroid on [`add`]; a cell
-/// that outgrows `max_cell` splits around its farthest pair, so `len`
-/// and `knn` stay consistent at every point of the insert stream (no
-/// build step, no staleness). Queries visit cells in lower-bound order
-/// and stop once no remaining cell can beat the current `k`-th hit,
-/// which keeps results *identical* to [`BruteForceIndex`] — including
-/// tie order — while probing only a fraction of the cells on clustered
-/// data.
-///
-/// [`add`]: BucketedIndex::add
-#[derive(Debug, Clone)]
-pub struct BucketedIndex {
-    cells: Vec<Cell>,
-    /// Split threshold: a cell holding more than this many vectors is
-    /// re-bucketed into two cells.
-    max_cell: usize,
-    len: usize,
-    next_seq: u64,
-}
-
-impl Default for BucketedIndex {
-    fn default() -> Self {
-        BucketedIndex::new(64)
-    }
-}
-
-impl BucketedIndex {
-    /// Creates an empty index with the given cell-split threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_cell` is zero.
-    pub fn new(max_cell: usize) -> Self {
-        assert!(max_cell > 0, "max_cell must be positive");
-        BucketedIndex {
-            cells: Vec::new(),
-            max_cell,
-            len: 0,
-            next_seq: 0,
-        }
-    }
-
-    /// Number of indexed vectors.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if nothing is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of cells currently backing the index.
-    pub fn cell_count(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Adds a vector under `id` with timestamp 0 (no temporal metadata);
-    /// see [`add_at`](BucketedIndex::add_at).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vector`'s dimension differs from previously added ones.
-    pub fn add(&mut self, id: u64, vector: Vec<f32>) {
-        self.add_at(id, vector, 0);
-    }
-
-    /// Adds a vector under `id` stamped with `t_secs`, splitting the
-    /// receiving cell if it outgrows the threshold. The timestamp feeds
-    /// each cell's exact `[t_min, t_max]` range, which
-    /// [`CellScan::min_abs_dt_secs`] exposes so temporal-decay searches
-    /// can skip cells that are too *old* as well as too far.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vector`'s dimension differs from previously added ones.
-    pub fn add_at(&mut self, id: u64, vector: Vec<f32>, t_secs: u64) {
-        if let Some(first) = self.cells.first() {
-            assert_eq!(first.centroid.len(), vector.len(), "dimension mismatch");
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.len += 1;
-        if self.cells.is_empty() {
-            self.cells.push(Cell::new(vector.clone()));
-        }
-        let best = self
-            .cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (i, d2(&c.centroid, &vector)))
-            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
-            .map(|(i, _)| i)
-            // A cell was pushed above if none existed, so this is only a
-            // defensive fallback, not a reachable panic.
-            .unwrap_or(0);
-        let cell = &mut self.cells[best];
-        let dist = d2(&cell.centroid, &vector).sqrt();
-        cell.radius = cell.radius.max(dist);
-        cell.t_min = cell.t_min.min(t_secs);
-        cell.t_max = cell.t_max.max(t_secs);
-        Arc::make_mut(&mut cell.items).push(BucketItem {
-            id,
-            seq,
-            t: t_secs,
-            vector,
-        });
-        if self.cells[best].items.len() > self.max_cell {
-            self.split_cell(best);
-        }
-    }
-
-    /// Splits cell `idx` around its farthest pair of items. A cell whose
-    /// items are all identical is left alone (splitting cannot shrink it).
-    fn split_cell(&mut self, idx: usize) {
-        let items = &self.cells[idx].items;
-        let (mut a, mut b, mut far) = (0usize, 0usize, 0.0f32);
-        for i in 0..items.len() {
-            for j in (i + 1)..items.len() {
-                let d = d2(&items[i].vector, &items[j].vector);
-                if d > far {
-                    far = d;
-                    a = i;
-                    b = j;
-                }
-            }
-        }
-        if far <= 0.0 {
-            return; // degenerate cell: every vector identical
-        }
-        let (ca, cb) = (items[a].vector.clone(), items[b].vector.clone());
-        let mut left: Vec<BucketItem> = Vec::new();
-        let mut right: Vec<BucketItem> = Vec::new();
-        for it in items.iter() {
-            if d2(&it.vector, &ca) <= d2(&it.vector, &cb) {
-                left.push(it.clone());
-            } else {
-                right.push(it.clone());
-            }
-        }
-        self.cells[idx] = rebuild_cell(ca, left);
-        self.cells.push(rebuild_cell(cb, right));
-    }
-
-    /// Cells ordered by their conservative spatial lower-bound distance
-    /// to `query` — the raw material for bound-pruned searches layered
-    /// on top of this index (e.g. temporal-decay retrieval).
-    pub fn prune_scan(&self, query: &[f32]) -> Vec<CellScan<'_>> {
-        let mut scans: Vec<CellScan<'_>> = self
-            .cells
-            .iter()
-            .map(|c| {
-                let dc = d2_f64(&c.centroid, query).sqrt();
-                let pad = c.radius as f64 * (1.0 + RADIUS_PAD) + RADIUS_PAD;
-                CellScan {
-                    lower_bound: (dc - pad).max(0.0),
-                    t_min: c.t_min,
-                    t_max: c.t_max,
-                    items: &c.items,
-                }
-            })
-            .collect();
-        scans.sort_by(|a, b| a.lower_bound.total_cmp(&b.lower_bound));
-        scans
-    }
-
-    /// The cell-split threshold this index was built with.
-    pub fn max_cell(&self) -> usize {
-        self.max_cell
-    }
-
-    /// A compacted rebuild: every vector is re-bucketed by farthest-pair
-    /// bisection into fresh cells with tight mean centroids and exact
-    /// radii, erasing the fragmentation (stale centroids, inflated radii,
-    /// unbalanced cells) that a long stream of incremental splits
-    /// accumulates. Ids and insertion sequence numbers are preserved, and
-    /// since both [`knn`](BucketedIndex::knn) and
-    /// [`prune_scan`](BucketedIndex::prune_scan)-based searches are exact
-    /// with seq tie-breaks, every query answers byte-identically on the
-    /// compacted index (property-tested in `rcacopilot-core`).
-    pub fn compacted(&self) -> BucketedIndex {
-        let mut items: Vec<BucketItem> = self
-            .cells
-            .iter()
-            .flat_map(|c| c.items.iter().cloned())
-            .collect();
-        items.sort_by_key(|it| it.seq);
-        let mut cells = Vec::new();
-        let mut stack = vec![items];
-        while let Some(items) = stack.pop() {
-            if items.is_empty() {
-                continue;
-            }
-            if items.len() <= self.max_cell {
-                cells.push(rebuild_cell(mean_centroid(&items), items));
-                continue;
-            }
-            // Approximate farthest pair by two sweeps: the point farthest
-            // from an arbitrary anchor, then the point farthest from it.
-            let a = farthest_from(&items, &items[0].vector);
-            let b = farthest_from(&items, &items[a].vector);
-            if d2(&items[a].vector, &items[b].vector) <= 0.0 {
-                // Every vector identical: bisection cannot make progress.
-                cells.push(rebuild_cell(items[0].vector.clone(), items));
-                continue;
-            }
-            let (ca, cb) = (items[a].vector.clone(), items[b].vector.clone());
-            let mut left = Vec::new();
-            let mut right = Vec::new();
-            for it in items {
-                if d2(&it.vector, &ca) <= d2(&it.vector, &cb) {
-                    left.push(it);
-                } else {
-                    right.push(it);
-                }
-            }
-            stack.push(left);
-            stack.push(right);
-        }
-        BucketedIndex {
-            cells,
-            max_cell: self.max_cell,
-            len: self.len,
-            next_seq: self.next_seq,
-        }
-    }
-
-    /// The `k` nearest neighbors of `query` as `(id, euclidean distance)`,
-    /// closest first — exactly [`BruteForceIndex::knn`]'s answer, tie
-    /// order included.
-    pub fn knn(&self, query: &[f32], k: usize) -> Vec<(u64, f32)> {
-        if k == 0 || self.len == 0 {
-            return Vec::new();
-        }
-        let mut hits: Vec<(f32, u64, u64)> = Vec::new(); // (d2, seq, id)
-        let mut kth: f64 = f64::INFINITY;
-        for scan in self.prune_scan(query) {
-            if hits.len() >= k && scan.lower_bound * scan.lower_bound > kth {
-                break;
-            }
-            for it in scan.items {
-                let d = d2(&it.vector, query);
-                hits.push((d, it.seq, it.id));
-            }
-            hits.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            hits.truncate(k);
-            if hits.len() >= k {
-                kth = hits[hits.len() - 1].0 as f64;
-            }
-        }
-        hits.into_iter().map(|(d, _, id)| (id, d.sqrt())).collect()
-    }
-
-    /// Structure report (see [`IndexStats`]).
-    pub fn stats(&self) -> IndexStats {
-        let dim = self.cells.first().map_or(0, |c| c.centroid.len());
-        IndexStats {
-            vectors: self.len,
-            dim,
-            cells: self.cells.len(),
-            layers: 0,
-            edges: 0,
-            bytes: self.len * (dim * 4 + std::mem::size_of::<BucketItem>())
-                + self.cells.len() * (dim * 4 + std::mem::size_of::<Cell>()),
-        }
-    }
-}
-
-/// Arithmetic mean of the item vectors (compaction centroid).
-fn mean_centroid(items: &[BucketItem]) -> Vec<f32> {
-    let dim = items[0].vector.len();
-    let mut mean = vec![0.0f32; dim];
-    for it in items {
-        for (m, x) in mean.iter_mut().zip(&it.vector) {
-            *m += x;
-        }
-    }
-    for m in &mut mean {
-        *m /= items.len() as f32;
-    }
-    mean
-}
-
-/// Index of the item farthest from `from` (first wins on exact ties, so
-/// compaction is deterministic).
-fn farthest_from(items: &[BucketItem], from: &[f32]) -> usize {
-    let mut best = 0;
-    let mut best_d = -1.0f32;
-    for (i, it) in items.iter().enumerate() {
-        let d = d2(&it.vector, from);
-        if d > best_d {
-            best_d = d;
-            best = i;
-        }
-    }
-    best
-}
-
-fn rebuild_cell(centroid: Vec<f32>, items: Vec<BucketItem>) -> Cell {
-    let radius = items
-        .iter()
-        .map(|it| d2(&it.vector, &centroid).sqrt())
-        .fold(0.0f32, f32::max);
-    let t_min = items.iter().map(|it| it.t).min().unwrap_or(u64::MAX);
-    let t_max = items.iter().map(|it| it.t).max().unwrap_or(0);
-    Cell {
-        centroid,
-        radius,
-        t_min,
-        t_max,
-        items: Arc::new(items),
-    }
-}
-
-/// Squared euclidean distance accumulated in `f64` (the precision the
-/// retrieval similarity formula uses).
-fn d2_f64(a: &[f32], b: &[f32]) -> f64 {
-    debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| {
-            let d = (*x - *y) as f64;
-            d * d
-        })
-        .sum()
-}
-
-/// Epoch-snapshotted wrapper around a [`BucketedIndex`].
-///
-/// The single writer calls [`add`] freely and [`publish`]es an epoch
-/// when a batch of inserts should become visible; readers grab
-/// [`snapshot`]s — `Arc`-shared immutable views costing `O(cells)` to
-/// produce — and query them without any coordination with the writer.
-/// This is the index-side half of the serving plane's "each resolved
-/// incident immediately becomes a retrieval candidate" contract.
-///
-/// [`add`]: EpochIndex::add
-/// [`publish`]: EpochIndex::publish
-/// [`snapshot`]: EpochIndex::snapshot
-#[derive(Debug)]
-pub struct EpochIndex {
-    working: BucketedIndex,
-    published: Arc<BucketedIndex>,
-    epoch: u64,
-}
-
-impl Default for EpochIndex {
-    fn default() -> Self {
-        EpochIndex::new(64)
-    }
-}
-
-impl EpochIndex {
-    /// Creates an empty epoch index with the given cell-split threshold.
-    pub fn new(max_cell: usize) -> Self {
-        let working = BucketedIndex::new(max_cell);
-        EpochIndex {
-            published: Arc::new(working.clone()),
-            working,
-            epoch: 0,
-        }
-    }
-
-    /// Adds a vector to the working set. Not visible to snapshots until
-    /// the next [`publish`](EpochIndex::publish).
-    pub fn add(&mut self, id: u64, vector: Vec<f32>) {
-        self.working.add(id, vector);
-    }
-
-    /// Like [`add`](EpochIndex::add), stamped with `t_secs` for the
-    /// cells' temporal bounds (see [`BucketedIndex::add_at`]).
-    pub fn add_at(&mut self, id: u64, vector: Vec<f32>, t_secs: u64) {
-        self.working.add_at(id, vector, t_secs);
-    }
-
-    /// Vectors in the working set (published or not).
-    pub fn len(&self) -> usize {
-        self.working.len()
-    }
-
-    /// True if the working set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.working.is_empty()
-    }
-
-    /// Seals the current working set into a new published epoch and
-    /// returns its number.
-    pub fn publish(&mut self) -> u64 {
-        self.published = Arc::new(self.working.clone());
-        self.epoch += 1;
-        self.epoch
-    }
-
-    /// Number of the currently published epoch (0 = empty initial epoch).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Overrides the epoch counter — used when restoring an index from a
-    /// checkpoint so epoch numbering continues where the journal left off.
-    pub fn set_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
-    }
-
-    /// The cell-split threshold of the working index.
-    pub fn max_cell(&self) -> usize {
-        self.working.max_cell()
-    }
-
-    /// Compacts the *working* index (see [`BucketedIndex::compacted`]).
-    /// Published snapshots are untouched until the next
-    /// [`publish`](EpochIndex::publish), which then seals the compacted
-    /// structure. Queries answer identically before and after.
-    pub fn compact(&mut self) {
-        self.working = self.working.compacted();
-    }
-
-    /// The latest published read view. Cheap (`O(cells)` was paid at
-    /// publish time; this is an `Arc` clone).
-    pub fn snapshot(&self) -> Arc<BucketedIndex> {
-        Arc::clone(&self.published)
-    }
-}
-
-fn nearest_centroid(centroids: &[Vec<f32>], v: &[f32]) -> usize {
-    let mut best = 0;
-    let mut best_d = f32::INFINITY;
-    for (i, c) in centroids.iter().enumerate() {
-        let d = d2(c, v);
-        if d < best_d {
-            best_d = d;
-            best = i;
-        }
-    }
-    best
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn cluster_data() -> Vec<(u64, Vec<f32>)> {
-        // Three tight clusters around (0,0), (10,0), (0,10).
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut out = Vec::new();
-        for i in 0..30u64 {
-            let (cx, cy) = match i % 3 {
-                0 => (0.0, 0.0),
-                1 => (10.0, 0.0),
-                _ => (0.0, 10.0),
-            };
-            out.push((
-                i,
-                vec![cx + rng.gen_range(-0.5..0.5), cy + rng.gen_range(-0.5..0.5)],
-            ));
-        }
-        out
-    }
-
-    #[test]
-    fn brute_force_returns_exact_neighbors_sorted() {
-        let mut idx = BruteForceIndex::new();
-        for (id, v) in cluster_data() {
-            idx.add(id, v);
-        }
-        let hits = idx.knn(&[0.0, 0.0], 5);
-        assert_eq!(hits.len(), 5);
-        for w in hits.windows(2) {
-            assert!(w[0].1 <= w[1].1);
-        }
-        // All five neighbors come from the (0,0) cluster (ids % 3 == 0).
-        for (id, d) in &hits {
-            assert_eq!(id % 3, 0, "wrong cluster for id {id}");
-            assert!(*d < 2.0);
-        }
-    }
-
-    #[test]
-    fn knn_handles_k_larger_than_len() {
-        let mut idx = BruteForceIndex::new();
-        idx.add(1, vec![0.0]);
-        idx.add(2, vec![1.0]);
-        let hits = idx.knn(&[0.0], 10);
-        assert_eq!(hits.len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn mixed_dimensions_panic() {
-        let mut idx = BruteForceIndex::new();
-        idx.add(1, vec![0.0, 1.0]);
-        idx.add(2, vec![0.0]);
-    }
-
-    #[test]
-    fn ivf_matches_brute_force_on_clustered_data() {
-        let data = cluster_data();
-        let ivf = IvfIndex::build(&data, 3, 2, 9);
-        assert_eq!(ivf.len(), data.len());
-        let mut bf = BruteForceIndex::new();
-        for (id, v) in &data {
-            bf.add(*id, v.clone());
-        }
-        let q = [9.8f32, 0.2];
-        let exact: Vec<u64> = bf.knn(&q, 5).into_iter().map(|(id, _)| id).collect();
-        let approx: Vec<u64> = ivf.knn(&q, 5).into_iter().map(|(id, _)| id).collect();
-        assert_eq!(
-            exact, approx,
-            "well-separated clusters: IVF should be exact"
-        );
-    }
-
-    #[test]
-    fn ivf_distances_are_euclidean_not_squared() {
-        let data = vec![(1u64, vec![0.0f32, 0.0]), (2, vec![3.0, 4.0])];
-        let ivf = IvfIndex::build(&data, 1, 1, 0);
-        let hits = ivf.knn(&[0.0, 0.0], 2);
-        assert!((hits[1].1 - 5.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn empty_ivf_build_degrades_to_empty_index() {
-        let ivf = IvfIndex::build(&[], 4, 1, 0);
-        assert!(ivf.is_empty());
-        assert_eq!(ivf.cell_count(), 0);
-        assert!(ivf.knn(&[0.0, 0.0], 3).is_empty());
-        assert!(ivf.candidates(&[0.0, 0.0], 4).is_empty());
-        assert_eq!(ivf.stats(), IndexStats::default());
-    }
-
-    #[test]
-    fn ivf_recall_at_k_against_brute_force() {
-        // 120 points in three well-separated clusters; probing 2 of 6
-        // cells must recover nearly all of the true top-10.
-        let mut rng = SmallRng::seed_from_u64(17);
-        let data: Vec<(u64, Vec<f32>)> = (0..120u64)
-            .map(|i| {
-                let (cx, cy) = match i % 3 {
-                    0 => (0.0, 0.0),
-                    1 => (12.0, 0.0),
-                    _ => (0.0, 12.0),
-                };
-                (
-                    i,
-                    vec![cx + rng.gen_range(-1.0..1.0), cy + rng.gen_range(-1.0..1.0)],
-                )
-            })
-            .collect();
-        let ivf = IvfIndex::build(&data, 6, 2, 3);
-        let mut bf = BruteForceIndex::new();
-        for (id, v) in &data {
-            bf.add(*id, v.clone());
-        }
-        let mut hit = 0usize;
-        let mut total = 0usize;
-        for _ in 0..25 {
-            let q = [rng.gen_range(-2.0..14.0), rng.gen_range(-2.0..14.0)];
-            let exact: std::collections::BTreeSet<u64> =
-                bf.knn(&q, 10).into_iter().map(|(id, _)| id).collect();
-            hit += ivf
-                .knn(&q, 10)
-                .iter()
-                .filter(|(id, _)| exact.contains(id))
-                .count();
-            total += exact.len();
-        }
-        let recall = hit as f64 / total as f64;
-        assert!(recall >= 0.9, "IVF recall@10 was {recall}");
-        // Saturation: probing every cell recovers the exact id set.
-        let q = [3.0f32, 3.0];
-        let exact: Vec<u64> = bf
-            .knn(&q, data.len())
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect();
-        let all = ivf.candidates(&q, ivf.cell_count());
-        assert_eq!(all.len(), exact.len());
-        assert_eq!(
-            all.iter().collect::<std::collections::BTreeSet<_>>(),
-            exact.iter().collect::<std::collections::BTreeSet<_>>()
-        );
-    }
-
-    #[test]
-    fn ivf_insert_grows_without_rebuilding() {
-        let data = cluster_data();
-        let mut ivf = IvfIndex::build(&data[..15], 3, 3, 9);
-        let snapshot = ivf.clone();
-        for (id, v) in &data[15..] {
-            ivf.insert(*id, v.clone());
-        }
-        assert_eq!(ivf.len(), data.len());
-        assert_eq!(snapshot.len(), 15, "COW cells keep clones sealed");
-        // Every id is findable when probing all cells.
-        let got = ivf.candidates(&[0.0, 0.0], ivf.cell_count());
-        assert_eq!(got.len(), data.len());
-        // Insert into a never-built index seeds a single cell.
-        let mut fresh = IvfIndex::build(&[], 4, 2, 0);
-        fresh.insert(77, vec![1.0, 2.0]);
-        assert_eq!(fresh.len(), 1);
-        assert_eq!(fresh.knn(&[1.0, 2.0], 1), vec![(77, 0.0)]);
-    }
-
-    #[test]
-    fn bucketed_matches_brute_force_during_online_growth() {
-        // Small split threshold forces several splits over the stream;
-        // len/knn must agree with brute force after *every* insert.
-        let mut bucketed = BucketedIndex::new(4);
-        let mut bf = BruteForceIndex::new();
-        for (id, v) in cluster_data() {
-            bucketed.add(id, v.clone());
-            bf.add(id, v);
-            assert_eq!(bucketed.len(), bf.len());
-            let q = [1.0f32, 2.0];
-            assert_eq!(bucketed.knn(&q, 4), bf.knn(&q, 4));
-        }
-        assert!(bucketed.cell_count() > 1, "threshold 4 must split");
-    }
-
-    #[test]
-    fn bucketed_survives_identical_vectors_without_splitting_forever() {
-        let mut idx = BucketedIndex::new(2);
-        for id in 0..10u64 {
-            idx.add(id, vec![1.0, 1.0]);
-        }
-        assert_eq!(idx.len(), 10);
-        // Degenerate cell cannot split; knn still exact, ties in
-        // insertion order like brute force.
-        let hits = idx.knn(&[1.0, 1.0], 3);
-        assert_eq!(
-            hits.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
-    }
-
-    #[test]
-    fn bucketed_knn_handles_k_zero_and_empty() {
-        let mut idx = BucketedIndex::new(8);
-        assert!(idx.knn(&[0.0], 3).is_empty());
-        idx.add(1, vec![0.5]);
-        assert!(idx.knn(&[0.0], 0).is_empty());
-        assert_eq!(idx.knn(&[0.0], 3).len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn bucketed_mixed_dimensions_panic() {
-        let mut idx = BucketedIndex::new(8);
-        idx.add(1, vec![0.0, 1.0]);
-        idx.add(2, vec![0.0]);
-    }
-
-    #[test]
-    fn epoch_snapshots_are_stable_until_publish() {
-        let mut epochs = EpochIndex::new(4);
-        for (id, v) in cluster_data().into_iter().take(10) {
-            epochs.add(id, v);
-        }
-        let before = epochs.snapshot();
-        assert_eq!(before.len(), 0, "nothing published yet");
-        assert_eq!(epochs.publish(), 1);
-        let view = epochs.snapshot();
-        assert_eq!(view.len(), 10);
-        // Writer keeps inserting; the sealed view must not move.
-        for (id, v) in cluster_data().into_iter().skip(10) {
-            epochs.add(id, v);
-        }
-        assert_eq!(view.len(), 10);
-        assert_eq!(epochs.len(), 30);
-        epochs.publish();
-        assert_eq!(epochs.snapshot().len(), 30);
-        assert_eq!(epochs.epoch(), 2);
-        // Old and new views answer independently.
-        let q = [0.0f32, 0.0];
-        assert_eq!(view.knn(&q, 3).len(), 3);
-        assert_eq!(epochs.snapshot().knn(&q, 3).len(), 3);
-    }
-
-    #[test]
-    fn compaction_preserves_knn_answers_exactly() {
-        let mut idx = BucketedIndex::new(3);
-        for (id, v) in cluster_data() {
-            idx.add(id, v);
-        }
-        let compact = idx.compacted();
-        assert_eq!(compact.len(), idx.len());
-        assert_eq!(compact.max_cell(), idx.max_cell());
-        assert!(
-            compact.cell_count() <= idx.cell_count(),
-            "compaction must not fragment further"
-        );
-        for q in [[0.0f32, 0.0], [10.0, 0.0], [5.0, 5.0], [-3.0, 12.0]] {
-            for k in [1usize, 3, 7, 30] {
-                assert_eq!(compact.knn(&q, k), idx.knn(&q, k), "q={q:?} k={k}");
-            }
-        }
-        // Growth continues seamlessly after compaction (seq counter kept).
-        let mut grown = compact.clone();
-        grown.add(999, vec![0.1, 0.1]);
-        assert_eq!(grown.len(), idx.len() + 1);
-    }
-
-    #[test]
-    fn compaction_of_degenerate_identical_vectors_is_sound() {
-        let mut idx = BucketedIndex::new(2);
-        for id in 0..9u64 {
-            idx.add(id, vec![2.0, 2.0]);
-        }
-        let compact = idx.compacted();
-        assert_eq!(compact.len(), 9);
-        assert_eq!(
-            compact
-                .knn(&[2.0, 2.0], 4)
-                .iter()
-                .map(|&(id, _)| id)
-                .collect::<Vec<_>>(),
-            vec![0, 1, 2, 3],
-            "insertion-order ties must survive compaction"
-        );
-    }
-
-    #[test]
-    fn epoch_compact_keeps_published_views_stable() {
-        let mut epochs = EpochIndex::new(3);
-        for (id, v) in cluster_data() {
-            epochs.add(id, v);
-        }
-        epochs.publish();
-        let sealed = epochs.snapshot();
-        let before: Vec<(u64, f32)> = sealed.knn(&[0.0, 0.0], 5);
-        epochs.compact();
-        // Sealed view unchanged; new publishes serve the compacted cells
-        // with identical answers.
-        assert_eq!(sealed.knn(&[0.0, 0.0], 5), before);
-        epochs.publish();
-        assert_eq!(epochs.snapshot().knn(&[0.0, 0.0], 5), before);
-        epochs.set_epoch(41);
-        assert_eq!(epochs.epoch(), 41);
-    }
-
-    #[test]
-    fn prune_scan_orders_cells_by_lower_bound_and_covers_everything() {
-        let mut idx = BucketedIndex::new(4);
-        for (id, v) in cluster_data() {
-            idx.add(id, v);
-        }
-        let scans = idx.prune_scan(&[0.0, 0.0]);
-        let mut total = 0;
-        for w in scans.windows(2) {
-            assert!(w[0].lower_bound <= w[1].lower_bound);
-        }
-        for s in &scans {
-            total += s.items().count();
-        }
-        assert_eq!(total, idx.len());
-    }
-
-    #[test]
-    fn temporal_ranges_survive_splits_and_compaction() {
-        // Small threshold forces splits; every cell's [t_min, t_max]
-        // must always cover exactly its own items.
-        let check = |idx: &BucketedIndex| {
-            for scan in idx.prune_scan(&[0.0, 0.0]) {
-                let ts: Vec<u64> = scan.items.iter().map(|it| it.t).collect();
-                assert!(!ts.is_empty(), "no empty cells expected");
-                assert_eq!(scan.t_min, *ts.iter().min().unwrap());
-                assert_eq!(scan.t_max, *ts.iter().max().unwrap());
-            }
-        };
-        let mut idx = BucketedIndex::new(3);
-        for (id, v) in cluster_data() {
-            idx.add_at(id, v, id * 86_400 % 1_000_000);
-            check(&idx);
-        }
-        assert!(idx.cell_count() > 1);
-        check(&idx.compacted());
-    }
-
-    #[test]
-    fn compaction_of_empty_index_is_a_noop() {
-        let idx = BucketedIndex::new(4);
-        let compact = idx.compacted();
-        assert_eq!(compact.len(), 0);
-        assert_eq!(compact.cell_count(), 0);
-        assert!(compact.knn(&[0.0], 3).is_empty());
-        // Growth still works afterwards (seq counter intact).
-        let mut grown = compact;
-        grown.add(1, vec![0.5]);
-        assert_eq!(grown.knn(&[0.0], 1), vec![(1, 0.5)]);
-        // EpochIndex::compact on an empty working set is equally safe.
-        let mut epochs = EpochIndex::new(4);
-        epochs.compact();
-        epochs.publish();
-        assert!(epochs.snapshot().is_empty());
-    }
-
-    #[test]
-    fn compaction_of_a_single_cell_preserves_answers() {
-        // max_cell larger than the population: one cell, never split.
-        let mut idx = BucketedIndex::new(64);
-        for (id, v) in cluster_data().into_iter().take(5) {
-            idx.add(id, v);
-        }
-        assert_eq!(idx.cell_count(), 1);
-        let compact = idx.compacted();
-        assert_eq!(compact.cell_count(), 1);
-        for k in [1usize, 3, 5, 9] {
-            assert_eq!(compact.knn(&[1.0, 1.0], k), idx.knn(&[1.0, 1.0], k));
-        }
-        // Single-vector index: the minimal single cell.
-        let mut one = BucketedIndex::new(2);
-        one.add_at(9, vec![3.0], 1234);
-        let compact_one = one.compacted();
-        assert_eq!(compact_one.knn(&[0.0], 2), one.knn(&[0.0], 2));
-        let scans = compact_one.prune_scan(&[0.0]);
-        assert_eq!(scans[0].min_abs_dt_secs(1234), 0);
-    }
-
-    #[test]
-    fn compaction_with_all_identical_timestamps_keeps_exact_time_bounds() {
-        // Every item at the same instant: cell time ranges must collapse
-        // to a point and survive splits + compaction exactly.
-        let mut idx = BucketedIndex::new(3);
-        for (id, v) in cluster_data() {
-            idx.add_at(id, v, 777_000);
-        }
-        let mut epochs = EpochIndex::new(3);
-        for (id, v) in cluster_data() {
-            epochs.add_at(id, v, 777_000);
-        }
-        epochs.publish();
-        let sealed = epochs.snapshot();
-        epochs.compact();
-        epochs.publish();
-        for probe in [&idx.compacted(), &*epochs.snapshot()] {
-            assert_eq!(probe.len(), 30);
-            for scan in probe.prune_scan(&[0.0, 0.0]) {
-                assert_eq!(scan.min_abs_dt_secs(777_000), 0);
-                assert_eq!(scan.min_abs_dt_secs(777_060), 60);
-                assert_eq!(scan.min_abs_dt_secs(776_000), 1000);
-            }
-            assert_eq!(probe.knn(&[0.0, 0.0], 5), idx.knn(&[0.0, 0.0], 5));
-        }
-        assert_eq!(sealed.knn(&[0.0, 0.0], 5), idx.knn(&[0.0, 0.0], 5));
-    }
-
-    #[test]
-    fn min_abs_dt_secs_is_exact_distance_to_the_time_range() {
-        let mut idx = BucketedIndex::new(8);
-        idx.add_at(0, vec![0.0], 100);
-        idx.add_at(1, vec![0.1], 500);
-        let scans = idx.prune_scan(&[0.0]);
-        assert_eq!(scans.len(), 1);
-        assert_eq!(scans[0].min_abs_dt_secs(40), 60);
-        assert_eq!(scans[0].min_abs_dt_secs(100), 0);
-        assert_eq!(scans[0].min_abs_dt_secs(300), 0);
-        assert_eq!(scans[0].min_abs_dt_secs(500), 0);
-        assert_eq!(scans[0].min_abs_dt_secs(720), 220);
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-        #[test]
-        fn brute_force_matches_naive_scan(
-            points in proptest::collection::vec(
-                proptest::collection::vec(-10.0f32..10.0, 2..=2), 2..25),
-            query in proptest::collection::vec(-10.0f32..10.0, 2..=2),
-            k in 1usize..6
-        ) {
-            let mut idx = BruteForceIndex::new();
-            for (i, p) in points.iter().enumerate() {
-                idx.add(i as u64, p.clone());
-            }
-            let hits = idx.knn(&query, k);
-            // Naive: sort all distances, compare the distance multiset.
-            let mut naive: Vec<f32> = points
-                .iter()
-                .map(|p| {
-                    p.iter()
-                        .zip(&query)
-                        .map(|(a, b)| (a - b) * (a - b))
-                        .sum::<f32>()
-                        .sqrt()
-                })
-                .collect();
-            naive.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            for (hit, expected) in hits.iter().zip(naive.iter()) {
-                prop_assert!((hit.1 - expected).abs() < 1e-4);
-            }
-        }
-
-        /// Satellite parity property: an online-grown [`BucketedIndex`]
-        /// returns the same k-NN answer as brute force over the same ids,
-        /// for every insert order proptest generates and at every prefix
-        /// of the stream.
-        #[test]
-        fn bucketed_online_add_matches_brute_force(
-            points in proptest::collection::vec(
-                proptest::collection::vec(-10.0f32..10.0, 3..=3), 1..60),
-            query in proptest::collection::vec(-10.0f32..10.0, 3..=3),
-            k in 1usize..8,
-            max_cell in 1usize..12
-        ) {
-            let mut bucketed = BucketedIndex::new(max_cell);
-            let mut bf = BruteForceIndex::new();
-            for (i, p) in points.iter().enumerate() {
-                bucketed.add(i as u64, p.clone());
-                bf.add(i as u64, p.clone());
-                prop_assert_eq!(bucketed.len(), bf.len());
-            }
-            let exact = bf.knn(&query, k);
-            let online = bucketed.knn(&query, k);
-            prop_assert_eq!(online, exact);
-        }
     }
 }

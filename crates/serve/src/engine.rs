@@ -46,9 +46,7 @@ use crate::vmetrics::{
 use crate::wal::{Recovery, WalError, WalRecord, WriteAheadLog};
 use rcacopilot_core::memo::{ExactMemo, MemoPolicy};
 use rcacopilot_core::plan::{InferencePlan, PlanCaches, PlanExecutor, StageHook, SummarizeMode};
-use rcacopilot_core::retrieval::{
-    CheckpointEntry, RetrievalBackend, RetrievalConfig, ShardedHistoricalIndex,
-};
+use rcacopilot_core::retrieval::{CheckpointEntry, ShardedHistoricalIndex};
 use rcacopilot_core::{CollectionStage, ContextSpec, HistoricalEntry, RcaCopilot, RcaPrediction};
 use rcacopilot_simcloud::Incident;
 use rcacopilot_telemetry::ids::TenantId;
@@ -116,7 +114,7 @@ pub struct EngineConfig {
     pub admission: AdmissionConfig,
     /// Seed of the ex-ante cost model.
     pub cost_seed: u64,
-    /// Bucket split threshold of the online index.
+    /// Ignored; kept for the benchmark crate.
     pub max_cell: usize,
     /// Retrieval-index shards (≥ 1). Entries route to a shard by a
     /// stable hash of their category, each shard owns its own lock and
@@ -163,15 +161,6 @@ pub struct EngineConfig {
     /// Fold the WAL into a checkpoint every this many commits
     /// (0 = never). Only meaningful under [`ServeEngine::run_with_wal`].
     pub checkpoint_every: usize,
-    /// Compact the online index every this many published epochs
-    /// (0 = never).
-    pub compact_epochs: usize,
-    /// Retrieval backend for the online index's shards: `Exact` (the
-    /// default — byte-identical to pre-ANN engines), or an ANN candidate
-    /// tier (`Hnsw`/`Ivf`) whose proposals are exactly re-ranked. At
-    /// saturating search widths (`ef_search`/`nprobe` ≥ corpus size) the
-    /// prediction log stays byte-identical to `Exact`.
-    pub backend: RetrievalBackend,
     /// Which clock the run executes on: the deterministic virtual DES
     /// backend (the default — every output byte-identical to pre-clock
     /// engines) or a real wall clock under which stage costs, stalls and
@@ -203,8 +192,6 @@ impl Default for EngineConfig {
             caches: None,
             crash_at: None,
             checkpoint_every: 0,
-            compact_epochs: 0,
-            backend: RetrievalBackend::Exact,
             clock: ClockConfig::Virtual,
             metrics: None,
         }
@@ -734,15 +721,8 @@ impl ServeEngine {
                     // count: entries re-route deterministically, so the
                     // answers (and the log) don't depend on the crashed
                     // run's count.
-                    Some(ckpt) => {
-                        ShardedHistoricalIndex::restore_with(ckpt, shards, self.config.backend)
-                    }
-                    None => ShardedHistoricalIndex::warm_with(
-                        self.copilot.index().entries(),
-                        shards,
-                        self.config.max_cell,
-                        self.config.backend,
-                    ),
+                    Some(ckpt) => ShardedHistoricalIndex::restore(ckpt, shards),
+                    None => ShardedHistoricalIndex::warm(self.copilot.index().entries(), shards),
                 };
                 // Re-apply entries journaled after the last checkpoint —
                 // commits and feedback corrections, in journal order —
@@ -756,7 +736,6 @@ impl ServeEngine {
                 for shard in dirty {
                     idx.publish(shard);
                 }
-                idx.set_compaction_interval(self.config.compact_epochs);
                 for (&shard, &epoch) in &recovery.shard_epochs {
                     if shard < idx.shard_count() && epoch > idx.epoch(shard) {
                         idx.set_epoch(shard, epoch);
@@ -774,21 +753,9 @@ impl ServeEngine {
             .caches
             .clone()
             .unwrap_or_else(|| Arc::new(PlanCaches::new(shards)));
-        // An ANN backend must reach the per-query retrieval config (the
-        // snapshot only consults its graph when the query's backend
-        // matches); `Exact` keeps `None` so plan parity with the batch
-        // pipeline is untouched.
-        let retrieval_override = if self.config.backend == RetrievalBackend::Exact {
-            None
-        } else {
-            Some(RetrievalConfig {
-                backend: self.config.backend,
-                ..self.copilot.config().retrieval
-            })
-        };
         let inference = InferencePlan {
             spec: self.config.spec,
-            retrieval: retrieval_override,
+            retrieval: None,
             policy: self.config.memo.clone(),
         }
         .with_namespace(self.config.tenant.0);

@@ -34,11 +34,10 @@
 //! not by sharing a dispatcher: [`MultiTenantConfig::shards`] deals the
 //! tenant list round-robin (`slot % shards`) over K shard workers, each
 //! a `std::thread` running its tenants in ascending slot order over the
-//! shared [`PlanCaches`] pool, one shared plane-wide
-//! [`VirtualClock`](crate::clock::VirtualClock) (the shard-aware
-//! virtual-time merge: `advance_to` is a `fetch_max`, so the merged
-//! horizon is interleaving-independent), and one shared metrics
-//! registry. Per-tenant setup is O(1): the trained pipeline is an
+//! shared [`PlanCaches`] pool, one shared plane-wide [`VirtualClock`]
+//! (the shard-aware virtual-time merge: `advance_to` is a `fetch_max`,
+//! so the merged horizon is interleaving-independent), and one shared
+//! metrics registry. Per-tenant setup is O(1): the trained pipeline is an
 //! [`Arc`] bump ([`ServeEngine::shared`]), the config one clone, the
 //! cache namespace a key prefix, and the WAL stream a pre-split
 //! in-memory journal. Outcomes, merged transcripts and adopted journals
@@ -257,6 +256,10 @@ struct TenantTask<'a> {
     twal: Option<WriteAheadLog>,
 }
 
+/// One finished tenant task: its outcome and, when journaling, its WAL
+/// stream for post-join adoption.
+type TaskResult = (ServeOutcome, Option<(TenantId, WriteAheadLog)>);
+
 /// The multi-tenant serving plane: a trained pipeline fanned out into
 /// one bulkheaded [`ServeEngine`] per tenant, scheduled over
 /// [`MultiTenantConfig::shards`] shard workers.
@@ -464,7 +467,7 @@ impl MultiTenantEngine {
         total_weight: u32,
         shared: &Arc<PlanCaches>,
         task: TenantTask<'_>,
-    ) -> Result<(ServeOutcome, Option<(TenantId, WriteAheadLog)>), WalError> {
+    ) -> Result<TaskResult, WalError> {
         let cfg = MultiTenantEngine::tenant_engine_config(
             base,
             task.spec,
@@ -525,8 +528,7 @@ impl MultiTenantEngine {
             });
         }
         let shards = self.config.shards.max(1).min(tasks.len());
-        let mut results: Vec<Option<(ServeOutcome, Option<(TenantId, WriteAheadLog)>)>> =
-            (0..tasks.len()).map(|_| None).collect();
+        let mut results: Vec<Option<TaskResult>> = (0..tasks.len()).map(|_| None).collect();
         let mut failures: Vec<(usize, WalError)> = Vec::new();
         if shards <= 1 {
             for task in tasks {

@@ -163,17 +163,15 @@ impl FaultCounters {
     }
 }
 
-/// JSON summary of a retrieval candidate-structure footprint
-/// ([`rcacopilot_core::IndexStats`]), for the engine report and the
-/// bench JSON: footprint regressions (graph edges, resident bytes) show
-/// up in tracked artifacts instead of only in allocator noise.
+/// JSON summary of the retrieval store's footprint
+/// ([`rcacopilot_core::IndexStats`]), for the engine report: footprint
+/// regressions show up in tracked artifacts instead of only in allocator
+/// noise.
 pub fn index_stats_json(stats: &rcacopilot_core::IndexStats) -> Value {
     json!({
         "vectors": stats.vectors,
         "dim": stats.dim,
-        "cells": stats.cells,
-        "layers": stats.layers,
-        "edges": stats.edges,
+        "chunks": stats.chunks,
         "bytes": stats.bytes,
     })
 }

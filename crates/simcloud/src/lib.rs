@@ -26,7 +26,7 @@
 //!   behind Figures 2 and 3.
 //! - [`scale`]: corpus scaling — tiling the catalog's long-tail and
 //!   recurrence structure across multi-year, 100k–1M-incident corpora
-//!   for ANN retrieval benchmarks.
+//!   for retrieval benchmarks.
 //! - [`teams`]: the simulated 30-team deployment behind Table 4.
 //! - [`tenancy`]: per-tenant serving workload plans — stream shape,
 //!   fault climate, fair-share weight — and the deterministic

@@ -217,7 +217,6 @@ fn journaling_is_free_when_nothing_crashes() {
         index_mode: IndexMode::Online,
         admission: AdmissionConfig::unbounded(),
         checkpoint_every: 4,
-        compact_epochs: 2,
         ..EngineConfig::default()
     };
     let engine = ServeEngine::new(copilot, config.clone());
@@ -258,7 +257,6 @@ fn crash_at_virtual_time_recovers_byte_identically() {
         admission: AdmissionConfig::unbounded(),
         faults,
         checkpoint_every: 3,
-        compact_epochs: 2,
         ..EngineConfig::default()
     };
 
