@@ -114,7 +114,6 @@ fn main() {
     let config = MultiTenantConfig {
         base: EngineConfig {
             workers,
-            shards: 2,
             index_mode: IndexMode::Online,
             admission: AdmissionConfig {
                 capacity_secs: 28_800,
@@ -322,7 +321,6 @@ fn main() {
                     "in_flight_cap": plans[storm_slot].in_flight_cap,
                 },
                 "workers": workers,
-                "shards": config.base.shards,
                 "quantum_secs": config.quantum_secs,
                 "breaker": {
                     "trip_quarantines": BreakerConfig::default().trip_quarantines,

@@ -4,7 +4,7 @@
 //! ([`SimDisk`]), then sweeps **crash points** — every recorded fsync
 //! barrier × sampled byte offsets of the un-fsynced window — and **fault
 //! mixes** (clean crashes, torn pages, bit rot, `ENOSPC` budgets, flaky
-//! write/fsync I/O) across worker × shard × tenant geometries. Every
+//! write/fsync I/O) across worker × tenant geometries. Every
 //! image is recovered through the normal load path and asserted:
 //!
 //! - **zero acked loss**: a commit acknowledged by a completed fsync is
@@ -132,10 +132,9 @@ fn stream() -> StreamConfig {
     }
 }
 
-fn config(workers: usize, shards: usize) -> EngineConfig {
+fn config(workers: usize) -> EngineConfig {
     EngineConfig {
         workers,
-        shards,
         index_mode: IndexMode::Online,
         admission: AdmissionConfig::unbounded(),
         ..EngineConfig::default()
@@ -191,7 +190,6 @@ fn timed_recover_tenants(
 fn check_resume(
     copilot: &RcaCopilot,
     workers: usize,
-    shards: usize,
     incidents: &[Incident],
     bytes: &[u8],
     baseline: &str,
@@ -199,7 +197,7 @@ fn check_resume(
 ) {
     let disk = SimDisk::restore(SimDiskConfig::default(), bytes);
     let mut wal = WriteAheadLog::with_sink(Box::new(disk)).expect("restored disk");
-    let out = ServeEngine::new(copilot.clone(), config(workers, shards))
+    let out = ServeEngine::new(copilot.clone(), config(workers))
         .run_with_wal(incidents, &stream(), &mut wal)
         .expect("recovered journal");
     stats.resumes += 1;
@@ -215,7 +213,6 @@ fn check_resume(
 fn sweep_crashes(
     copilot: &RcaCopilot,
     workers: usize,
-    shards: usize,
     incidents: &[Incident],
     plan: &StorageFaultPlan,
     baseline: &str,
@@ -226,7 +223,7 @@ fn sweep_crashes(
     let mut stats = MixStats::default();
     let disk = SimDisk::new(SimDiskConfig::from_plan(plan));
     let mut wal = WriteAheadLog::with_sink(Box::new(disk.clone())).expect("fresh disk");
-    let out = ServeEngine::new(copilot.clone(), config(workers, shards))
+    let out = ServeEngine::new(copilot.clone(), config(workers))
         .run_with_wal(incidents, &stream(), &mut wal)
         .expect("fresh journal");
     assert_eq!(out.log, baseline, "journaled run must match the baseline");
@@ -271,7 +268,6 @@ fn sweep_crashes(
                     check_resume(
                         copilot,
                         workers,
-                        shards,
                         incidents,
                         &image.bytes,
                         baseline,
@@ -292,7 +288,6 @@ fn sweep_crashes(
 fn sweep_bit_rot(
     copilot: &RcaCopilot,
     workers: usize,
-    shards: usize,
     incidents: &[Incident],
     clean_bytes: &[u8],
     baseline: &str,
@@ -327,7 +322,6 @@ fn sweep_bit_rot(
             check_resume(
                 copilot,
                 workers,
-                shards,
                 incidents,
                 &image.bytes,
                 baseline,
@@ -344,7 +338,6 @@ fn sweep_bit_rot(
 fn run_degraded(
     copilot: &RcaCopilot,
     workers: usize,
-    shards: usize,
     incidents: &[Incident],
     disk_cfg: SimDiskConfig,
     checkpoint_every: usize,
@@ -353,7 +346,7 @@ fn run_degraded(
     let mut stats = MixStats::default();
     let disk = SimDisk::new(disk_cfg);
     let mut wal = WriteAheadLog::with_sink(Box::new(disk.clone())).expect("fresh disk");
-    let mut cfg = config(workers, shards);
+    let mut cfg = config(workers);
     cfg.checkpoint_every = checkpoint_every;
     let out = ServeEngine::new(copilot.clone(), cfg)
         .run_with_wal(incidents, &stream(), &mut wal)
@@ -500,8 +493,8 @@ fn sweep_multitenant(copilot: &RcaCopilot, incidents: &[Incident], smoke: bool) 
     }
 
     vec![
-        trunc.to_json("2w×1s×2t", "adopt_truncation"),
-        rotst.to_json("2w×1s×2t", "adopt_bit_rot"),
+        trunc.to_json("2w×2t", "adopt_truncation"),
+        rotst.to_json("2w×2t", "adopt_bit_rot"),
     ]
 }
 
@@ -515,14 +508,14 @@ fn main() {
     let (copilot, test) = fixture(smoke);
     println!("incidents streamed per run: {}", test.len());
 
-    let geometries: &[(usize, usize)] = &[(1, 1), (4, 2)];
+    let geometries: &[usize] = &[1, 4];
     let nonces = if smoke { 1 } else { 2 };
     let resume_every = if smoke { 16 } else { 12 };
     let mut rows: Vec<Value> = Vec::new();
 
-    for &(workers, shards) in geometries {
-        let geometry = format!("{workers}w×{shards}s");
-        let baseline = ServeEngine::new(copilot.clone(), config(workers, shards))
+    for &workers in geometries {
+        let geometry = format!("{workers}w");
+        let baseline = ServeEngine::new(copilot.clone(), config(workers))
             .run(&test, &stream())
             .log;
 
@@ -530,7 +523,6 @@ fn main() {
         let clean = sweep_crashes(
             &copilot,
             workers,
-            shards,
             &test,
             &StorageFaultPlan::clean(17),
             &baseline,
@@ -544,7 +536,6 @@ fn main() {
         let torn = sweep_crashes(
             &copilot,
             workers,
-            shards,
             &test,
             &StorageFaultPlan::torn_pages(19),
             &baseline,
@@ -555,13 +546,12 @@ fn main() {
         // Bit rot over the finished journal.
         let clean_disk = SimDisk::new(SimDiskConfig::from_plan(&StorageFaultPlan::clean(17)));
         let mut wal = WriteAheadLog::with_sink(Box::new(clean_disk.clone())).expect("fresh");
-        ServeEngine::new(copilot.clone(), config(workers, shards))
+        ServeEngine::new(copilot.clone(), config(workers))
             .run_with_wal(&test, &stream(), &mut wal)
             .expect("fresh journal");
         let rot = sweep_bit_rot(
             &copilot,
             workers,
-            shards,
             &test,
             &media(&clean_disk),
             &baseline,
@@ -573,7 +563,6 @@ fn main() {
         let enospc = run_degraded(
             &copilot,
             workers,
-            shards,
             &test,
             SimDiskConfig::from_plan(&StorageFaultPlan::tight_budget(31, budget as u64)),
             4,
@@ -583,7 +572,7 @@ fn main() {
         let mut flaky_cfg = SimDiskConfig::from_plan(&StorageFaultPlan::flaky(37));
         flaky_cfg.write_error_per_mille = 120;
         flaky_cfg.fsync_error_per_mille = 120;
-        let flaky = run_degraded(&copilot, workers, shards, &test, flaky_cfg, 0, &baseline);
+        let flaky = run_degraded(&copilot, workers, &test, flaky_cfg, 0, &baseline);
 
         for (mix, stats) in [
             ("clean_crash", &clean),
@@ -611,7 +600,7 @@ fn main() {
     for row in &tenant_rows {
         println!(
             "{:>8} {:<16} points={:<5} acked_lost={} quarantined={:<4} resumes={:<3} divergences={}",
-            "2w×1s×2t",
+            "2w×2t",
             match field(row, "mix") {
                 Value::Str(s) => s.clone(),
                 other => panic!("mix is a string, got {other:?}"),

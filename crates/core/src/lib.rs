@@ -55,7 +55,6 @@ pub use plan::{InferencePlan, PlanCaches, PlanExecutor, PlanOutcome, SummarizeMo
 pub use rcacopilot_embed::IndexStats;
 pub use report::OnCallReport;
 pub use retrieval::{
-    shard_for_category, CheckpointEntry, HistoricalEntry, HistoricalIndex, HistorySnapshot,
-    HistoryView, OnlineHistoricalIndex, RetrievalBackend, RetrievalConfig, ShardedCheckpoint,
-    ShardedHistoricalIndex, ShardedHistorySnapshot,
+    CheckpointEntry, HistoricalEntry, HistoricalIndex, HistoryCheckpoint, HistorySnapshot,
+    HistoryView, OnlineHistoricalIndex, RetrievalBackend, RetrievalConfig,
 };

@@ -23,9 +23,9 @@
 //!   tenant namespace ([`namespaced_key`]), so tenants sharing one
 //!   physical cache occupy disjoint logical key spaces.
 //!
-//! The cache is sharded N-way by key (matching the retrieval plane's
-//! shard count) so concurrent workers memoizing different incidents do
-//! not serialize on one global lock. A shard lock poisoned by a dying
+//! The cache can be split N-way by key so concurrent workers memoizing
+//! different incidents do not serialize on one global lock (the serving
+//! engine uses one lock domain). A shard lock poisoned by a dying
 //! worker is recovered and counted instead of cascading: recovery is
 //! sound here because every cached value is a pure function of its key —
 //! the map is consistent no matter where a panicking worker died (at

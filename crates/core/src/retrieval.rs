@@ -16,8 +16,7 @@ use rcacopilot_telemetry::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 /// Which index answers retrieval. Every view is exact, so there is one
 /// backend; the type stays so that `RetrievalConfig` literals keep their
@@ -85,8 +84,8 @@ pub fn similarity(distance: f64, delta_days: f64, alpha: f64) -> f64 {
     (1.0 / (1.0 + distance)) * (-alpha * delta_days.abs()).exp()
 }
 
-/// 64-bit FNV-1a hash of a byte string — the stable hash behind shard
-/// routing (and the serving plane's content-hash memo caches).
+/// 64-bit FNV-1a hash of a byte string — the stable hash behind the
+/// serving plane's seeded cost, fault and storage models.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -94,20 +93,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// The shard a category routes to under `shards`-way partitioning.
-///
-/// Category-keyed routing is what makes the cross-shard merge exact
-/// cheaply: every entry of a category lives in exactly one shard, so a
-/// shard's per-category best is already the *global* per-category best,
-/// and the merge only has to rank whole categories.
-pub fn shard_for_category(category: &str, shards: usize) -> usize {
-    if shards <= 1 {
-        0
-    } else {
-        (fnv1a(category.as_bytes()) % shards as u64) as usize
-    }
 }
 
 fn euclidean(a: &[f32], b: &[f32]) -> f64 {
@@ -251,11 +236,6 @@ struct Chunk {
     /// Store-local category ids.
     category: Vec<u32>,
     at: Vec<SimTime>,
-    /// Global insertion sequence numbers — the retrieval tie-break. For a
-    /// standalone store this is the row's insertion position; under
-    /// [`ShardedHistoricalIndex`] the router allocates it, so ties across
-    /// shards resolve as one store would resolve them.
-    global_seq: Vec<u64>,
     /// The instant each row became retrievable: its resolution time for
     /// streamed incidents, [`SimTime::EPOCH`] for warm-start history.
     visible_from: Vec<SimTime>,
@@ -271,7 +251,6 @@ impl Chunk {
             embeddings: Vec::with_capacity(rows * dim),
             category: Vec::with_capacity(rows),
             at: Vec::with_capacity(rows),
-            global_seq: Vec::with_capacity(rows),
             visible_from: Vec::with_capacity(rows),
             entries: Vec::with_capacity(rows),
             min_at: SimTime::from_secs(u64::MAX),
@@ -279,11 +258,10 @@ impl Chunk {
         }
     }
 
-    fn push(&mut self, entry: HistoricalEntry, category: u32, visible_from: SimTime, seq: u64) {
+    fn push(&mut self, entry: HistoricalEntry, category: u32, visible_from: SimTime) {
         self.embeddings.extend_from_slice(&entry.embedding);
         self.category.push(category);
         self.at.push(entry.at);
-        self.global_seq.push(seq);
         self.visible_from.push(visible_from);
         self.min_at = self.min_at.min(entry.at);
         self.max_at = self.max_at.max(entry.at);
@@ -310,7 +288,6 @@ impl Chunk {
         self.embeddings.capacity() * std::mem::size_of::<f32>()
             + self.category.capacity() * std::mem::size_of::<u32>()
             + (self.at.capacity() + self.visible_from.capacity()) * std::mem::size_of::<SimTime>()
-            + self.global_seq.capacity() * std::mem::size_of::<u64>()
             + std::mem::size_of::<Chunk>()
     }
 }
@@ -414,25 +391,12 @@ impl OnlineHistoricalIndex {
     /// [`publish`](OnlineHistoricalIndex::publish), and from then on
     /// only for queries at or after `visible_from` (its resolution
     /// instant; pass [`SimTime::EPOCH`] for always-visible history).
-    pub fn insert(&mut self, entry: HistoricalEntry, visible_from: SimTime) {
-        let seq = self.rows.len as u64;
-        self.insert_at_seq(entry, visible_from, seq);
-    }
-
-    /// [`insert`](OnlineHistoricalIndex::insert) with an explicit global
-    /// sequence number for the retrieval tie-break — the hook
-    /// [`ShardedHistoricalIndex`] routes through so entries keep one
-    /// global insertion order across shards.
+    /// Insertion order is the retrieval tie-break.
     ///
     /// # Panics
     ///
     /// If the embedding's dimension differs from the first insert's.
-    pub fn insert_at_seq(
-        &mut self,
-        entry: HistoricalEntry,
-        visible_from: SimTime,
-        global_seq: u64,
-    ) {
+    pub fn insert(&mut self, entry: HistoricalEntry, visible_from: SimTime) {
         if self.rows.len == 0 {
             self.rows.dim = entry.embedding.len();
         }
@@ -458,7 +422,7 @@ impl OnlineHistoricalIndex {
         }
         self.rows.non_finite |= entry.embedding.iter().any(|x| !x.is_finite());
         let last = self.rows.chunks.last_mut().expect("chunk just ensured");
-        Arc::make_mut(last).push(entry, category, visible_from, global_seq);
+        Arc::make_mut(last).push(entry, category, visible_from);
         self.rows.len += 1;
         self.rows.categories = self.category_ids.len();
     }
@@ -468,9 +432,10 @@ impl OnlineHistoricalIndex {
         self.epoch
     }
 
-    /// Overrides the epoch counter (checkpoint restore continuity).
-    pub fn set_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
+    /// Raises the epoch counter to `epoch` if it is behind (journal
+    /// continuity on recovery); never lowers it.
+    pub fn resume_epoch(&mut self, epoch: u64) {
+        self.epoch = self.epoch.max(epoch);
     }
 
     /// Publishes every row inserted so far and returns the new epoch
@@ -499,22 +464,58 @@ impl OnlineHistoricalIndex {
         }
     }
 
-    /// Every stored entry with its global sequence number — the raw
-    /// material [`ShardedHistoricalIndex::checkpoint`] merges back into
-    /// one global-order list.
-    fn seq_entries(&self) -> impl Iterator<Item = (u64, CheckpointEntry)> + '_ {
-        self.rows.chunks.iter().flat_map(|c| {
-            (0..c.len()).map(move |r| {
-                (
-                    c.global_seq[r],
-                    CheckpointEntry {
-                        entry: c.entries[r].clone(),
-                        visible_from: c.visible_from[r],
-                    },
-                )
+    /// Serializes the store: every entry in insertion order, plus the
+    /// published epoch.
+    pub fn checkpoint(&self) -> HistoryCheckpoint {
+        let entries = self
+            .rows
+            .chunks
+            .iter()
+            .flat_map(|c| {
+                c.entries
+                    .iter()
+                    .zip(&c.visible_from)
+                    .map(|(entry, &visible_from)| CheckpointEntry {
+                        entry: entry.clone(),
+                        visible_from,
+                    })
             })
-        })
+            .collect();
+        HistoryCheckpoint {
+            max_cell: CHECKPOINT_MAX_CELL,
+            shard_epochs: vec![self.epoch],
+            entries,
+        }
     }
+
+    /// Rebuilds a store from a checkpoint: the entries are re-inserted
+    /// in their stored order and published once, and the epoch counter
+    /// resumes at the largest recorded epoch. Epoch numbering is journal
+    /// bookkeeping and never affects query answers.
+    pub fn restore(checkpoint: &HistoryCheckpoint) -> Self {
+        let mut idx = OnlineHistoricalIndex::new();
+        for ce in &checkpoint.entries {
+            idx.insert(ce.entry.clone(), ce.visible_from);
+        }
+        idx.publish();
+        idx.resume_epoch(checkpoint.shard_epochs.iter().copied().max().unwrap_or(0));
+        idx
+    }
+}
+
+/// A serializable snapshot of an [`OnlineHistoricalIndex`]'s full state,
+/// as journaled in checkpoint records.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct HistoryCheckpoint {
+    /// Always 64 and ignored on restore: the store has no cells, and the
+    /// field keeps checkpoint records in their journaled format.
+    pub max_cell: usize,
+    /// Published epoch numbers: one for a checkpoint written by one
+    /// store; journals written by category-sharded stores hold one per
+    /// shard. Restore resumes at the largest.
+    pub shard_epochs: Vec<u64>,
+    /// Every inserted entry, in insertion order.
+    pub entries: Vec<CheckpointEntry>,
 }
 
 /// One [`OnlineHistoricalIndex`] entry as journaled by the serving
@@ -533,22 +534,21 @@ pub struct HistorySnapshot {
     rows: Rows,
 }
 
-/// One category's best row: its similarity, global sequence number and
-/// position in the snapshot.
+/// One category's best row: its similarity and position in the
+/// snapshot.
 #[derive(Debug, Clone, Copy)]
 struct Rep {
     similarity: f64,
-    global_seq: u64,
     chunk: usize,
     row: usize,
 }
 
-/// The retrieval ranking: higher similarity first, earlier global
-/// insertion breaks ties — the linear scan's stable-sort order.
+/// The retrieval ranking: higher similarity first, earlier insertion
+/// (chunk, then row) breaks ties — the linear scan's stable-sort order.
 fn rank(a: &Rep, b: &Rep) -> CmpOrdering {
     b.similarity
         .total_cmp(&a.similarity)
-        .then(a.global_seq.cmp(&b.global_seq))
+        .then((a.chunk, a.row).cmp(&(b.chunk, b.row)))
 }
 
 /// The `k` best per-category similarities seen so far, whose minimum is
@@ -623,7 +623,7 @@ impl HistorySnapshot {
     /// `k`-th best per-category similarity no later row can enter the
     /// top `k`; a row whose own decay factor is below it is skipped
     /// without computing its distance. Both thresholds are strict: a tie
-    /// could still win on `global_seq`. The bounds assume `α ≥ 0` and
+    /// could still win on insertion order. The bounds assume `α ≥ 0` and
     /// finite embeddings; otherwise every visible row is scored.
     fn diverse_reps(
         &self,
@@ -667,7 +667,6 @@ impl HistorySnapshot {
                 // The same expression as `similarity`, so the bits agree.
                 let cand = Rep {
                     similarity: (1.0 / (1.0 + dist)) * factor,
-                    global_seq: chunk.global_seq[r],
                     chunk: c,
                     row: r,
                 };
@@ -711,261 +710,6 @@ impl HistoryView for HistorySnapshot {
 
     fn len(&self) -> usize {
         self.rows.len
-    }
-}
-
-/// A category-sharded [`OnlineHistoricalIndex`]: the serving plane's
-/// retrieval store split into `N` independently locked shards.
-///
-/// Routing is by [`shard_for_category`], so every entry of a category
-/// lives in exactly one shard and each shard's per-category best is
-/// already the global one. Query answers — and therefore the serving
-/// engine's prediction log — are **byte-identical** to one unsharded
-/// store for any shard count, because:
-///
-/// 1. **Global sequence numbers.** The router allocates one monotonically
-///    increasing `global_seq` per insert; cross-category similarity ties
-///    resolve on it exactly as a single store's insertion order would.
-/// 2. **Exact per-shard retrieval.** Each shard answers with its exact
-///    top-`k` category representatives; the merge ranks their union and
-///    cuts it to `k`.
-///
-/// All methods take `&self`: shard locks are internal, and a lock
-/// poisoned by a dying worker thread is recovered (and counted) rather
-/// than propagated, matching the serving plane's supervision policy.
-#[derive(Debug)]
-pub struct ShardedHistoricalIndex {
-    shards: Vec<Mutex<OnlineHistoricalIndex>>,
-    next_seq: AtomicU64,
-    poison_recoveries: AtomicU64,
-}
-
-impl ShardedHistoricalIndex {
-    /// An empty index with `shards` shards (clamped to ≥ 1).
-    pub fn new(shards: usize) -> Self {
-        Self::with_chunk_rows(shards, ENTRY_CHUNK)
-    }
-
-    fn with_chunk_rows(shards: usize, chunk_rows: usize) -> Self {
-        ShardedHistoricalIndex {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(OnlineHistoricalIndex::with_chunk_rows(chunk_rows)))
-                .collect(),
-            next_seq: AtomicU64::new(0),
-            poison_recoveries: AtomicU64::new(0),
-        }
-    }
-
-    /// Warm-starts from existing history in slice order (matching
-    /// [`OnlineHistoricalIndex::warm`]) and publishes every shard.
-    pub fn warm(entries: &[HistoricalEntry], shards: usize) -> Self {
-        let idx = ShardedHistoricalIndex::new(shards);
-        for e in entries {
-            idx.insert(e.clone(), SimTime::EPOCH);
-        }
-        idx.publish_all();
-        idx
-    }
-
-    /// Store footprint summed across shards.
-    pub fn index_stats(&self) -> IndexStats {
-        let mut total = IndexStats::default();
-        for s in 0..self.shards.len() {
-            total.merge(&self.lock_shard(s).index_stats());
-        }
-        total
-    }
-
-    fn lock_shard(&self, shard: usize) -> MutexGuard<'_, OnlineHistoricalIndex> {
-        self.shards[shard].lock().unwrap_or_else(|poisoned| {
-            self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
-            poisoned.into_inner()
-        })
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard `category` routes to.
-    pub fn route(&self, category: &str) -> usize {
-        shard_for_category(category, self.shards.len())
-    }
-
-    /// Appends a resolved incident to its category's shard, allocating
-    /// the next global sequence number. Returns the shard it landed in
-    /// (whose next [`publish`](ShardedHistoricalIndex::publish) makes it
-    /// visible).
-    pub fn insert(&self, entry: HistoricalEntry, visible_from: SimTime) -> usize {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let shard = self.route(&entry.category);
-        self.lock_shard(shard)
-            .insert_at_seq(entry, visible_from, seq);
-        shard
-    }
-
-    /// Publishes one shard's pending inserts as a new epoch and returns
-    /// the shard's epoch number.
-    pub fn publish(&self, shard: usize) -> u64 {
-        self.lock_shard(shard).publish()
-    }
-
-    /// Publishes every shard (warm start / checkpoint restore).
-    pub fn publish_all(&self) {
-        for s in 0..self.shards.len() {
-            self.lock_shard(s).publish();
-        }
-    }
-
-    /// One shard's published epoch number.
-    pub fn epoch(&self, shard: usize) -> u64 {
-        self.lock_shard(shard).epoch()
-    }
-
-    /// Overrides one shard's epoch counter (journal continuity on
-    /// recovery).
-    pub fn set_epoch(&self, shard: usize, epoch: u64) {
-        self.lock_shard(shard).set_epoch(epoch);
-    }
-
-    /// Entries inserted so far across all shards (published or not).
-    pub fn len(&self) -> usize {
-        (0..self.shards.len())
-            .map(|s| self.lock_shard(s).len())
-            .sum()
-    }
-
-    /// True if nothing was inserted.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Poisoned shard locks recovered so far (folded into the engine's
-    /// fault counters).
-    pub fn poison_recoveries(&self) -> u64 {
-        self.poison_recoveries.load(Ordering::Relaxed)
-    }
-
-    /// An immutable cross-shard view of each shard's latest published
-    /// epoch. Shards are snapshotted one at a time — the serving engine
-    /// commits inserts under its own in-order watermark, so per-query
-    /// `visible_from` filtering (not snapshot atomicity) is what defines
-    /// the visible set.
-    pub fn snapshot(&self) -> ShardedHistorySnapshot {
-        ShardedHistorySnapshot {
-            shards: (0..self.shards.len())
-                .map(|s| self.lock_shard(s).snapshot())
-                .collect(),
-        }
-    }
-
-    /// Serializes all shards as one flat entry list in global insertion
-    /// order. Storing the *merged* order (rather than per-shard lists)
-    /// makes the checkpoint shard-count independent: restoring with a
-    /// different `shards` value re-routes deterministically and
-    /// reproduces identical retrieval answers.
-    pub fn checkpoint(&self) -> ShardedCheckpoint {
-        let mut seqd: Vec<(u64, CheckpointEntry)> = Vec::new();
-        let mut shard_epochs = Vec::with_capacity(self.shards.len());
-        for s in 0..self.shards.len() {
-            let guard = self.lock_shard(s);
-            seqd.extend(guard.seq_entries());
-            shard_epochs.push(guard.epoch());
-        }
-        seqd.sort_by_key(|&(seq, _)| seq);
-        ShardedCheckpoint {
-            max_cell: CHECKPOINT_MAX_CELL,
-            shard_epochs,
-            entries: seqd.into_iter().map(|(_, e)| e).collect(),
-        }
-    }
-
-    /// Rebuilds a sharded index from a checkpoint with `shards` shards
-    /// (not necessarily the checkpoint's count): entries are re-inserted
-    /// in global order — the deterministic router reassigns shards and
-    /// sequence numbers — and every shard is published once. Per-shard
-    /// epoch counters are restored positionally where the shard exists;
-    /// epoch numbering is journal bookkeeping and never affects query
-    /// answers.
-    pub fn restore(checkpoint: &ShardedCheckpoint, shards: usize) -> Self {
-        let idx = ShardedHistoricalIndex::new(shards);
-        for ce in &checkpoint.entries {
-            idx.insert(ce.entry.clone(), ce.visible_from);
-        }
-        idx.publish_all();
-        for (s, &epoch) in checkpoint.shard_epochs.iter().enumerate() {
-            if s < idx.shard_count() && epoch > idx.epoch(s) {
-                idx.set_epoch(s, epoch);
-            }
-        }
-        idx
-    }
-}
-
-/// A serializable snapshot of a [`ShardedHistoricalIndex`]'s full state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardedCheckpoint {
-    /// Always 64 and ignored on restore: the store has no cells, and the
-    /// field keeps checkpoint records in their journaled format.
-    pub max_cell: usize,
-    /// Per-shard published epoch numbers at checkpoint time (length =
-    /// the checkpointing index's shard count).
-    pub shard_epochs: Vec<u64>,
-    /// Every inserted entry, in *global* insertion order.
-    pub entries: Vec<CheckpointEntry>,
-}
-
-/// A sealed cross-shard read view of a [`ShardedHistoricalIndex`].
-#[derive(Debug, Clone)]
-pub struct ShardedHistorySnapshot {
-    shards: Vec<HistorySnapshot>,
-}
-
-impl ShardedHistorySnapshot {
-    /// Per-shard views (tests and diagnostics).
-    pub fn shard_views(&self) -> &[HistorySnapshot] {
-        &self.shards
-    }
-
-    /// Entries visible to a query at `at`, across shards.
-    pub fn visible_len(&self, at: SimTime) -> usize {
-        self.shards.iter().map(|s| s.visible_len(at)).sum()
-    }
-}
-
-impl HistoryView for ShardedHistorySnapshot {
-    /// Cross-shard top-`k` distinct-category merge, byte-identical to a
-    /// single [`HistorySnapshot`] over the same entries: categories
-    /// partition across shards, so the union of the shards' exact
-    /// representatives, ranked and cut to `k`, is the global answer.
-    fn top_k_diverse(
-        &self,
-        query_embedding: &[f32],
-        query_time: SimTime,
-        config: &RetrievalConfig,
-    ) -> Vec<Neighbor<'_>> {
-        let mut reps: Vec<(Rep, &HistorySnapshot)> = self
-            .shards
-            .iter()
-            .flat_map(|snap| {
-                snap.diverse_reps(query_embedding, query_time, config)
-                    .into_iter()
-                    .map(move |rep| (rep, snap))
-            })
-            .collect();
-        reps.sort_by(|a, b| rank(&a.0, &b.0));
-        reps.truncate(config.k);
-        reps.into_iter()
-            .map(|(rep, snap)| Neighbor {
-                entry: snap.entry(&rep),
-                similarity: rep.similarity,
-            })
-            .collect()
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(HistorySnapshot::len).sum()
     }
 }
 
@@ -1071,7 +815,6 @@ mod tests {
             linear.add(e.clone());
         }
         let online = OnlineHistoricalIndex::warm(&entries, 0).snapshot();
-        let sharded = ShardedHistoricalIndex::warm(&entries, 3).snapshot();
         let cfg = RetrievalConfig {
             k: 0,
             ..RetrievalConfig::default()
@@ -1079,7 +822,6 @@ mod tests {
         let at = SimTime::from_days(3);
         assert!(linear.top_k_diverse(&[1.0], at, &cfg).is_empty());
         assert!(HistoryView::top_k_diverse(&online, &[1.0], at, &cfg).is_empty());
-        assert!(HistoryView::top_k_diverse(&sharded, &[1.0], at, &cfg).is_empty());
     }
 
     #[test]
@@ -1135,7 +877,7 @@ mod tests {
         assert_eq!(gaps, vec![11 * 86_400, 0, 13 * 86_400]);
         let stats = online.index_stats();
         assert_eq!((stats.vectors, stats.dim, stats.chunks), (7, 2, 3));
-        assert!(stats.bytes >= 7 * (2 * 4 + 4 + 8 + 8 + 8));
+        assert!(stats.bytes >= 7 * (2 * 4 + 4 + 8 + 8));
     }
 
     #[test]
@@ -1202,72 +944,16 @@ mod tests {
     }
 
     #[test]
-    fn shard_router_is_stable_and_category_local() {
-        // Same category always lands in the same shard.
-        for cat in ["NetworkLatency", "DiskFailure", "AuthOutage", ""] {
-            for shards in [1usize, 2, 3, 8] {
-                let s = shard_for_category(cat, shards);
-                assert!(s < shards);
-                assert_eq!(s, shard_for_category(cat, shards), "stable");
-            }
-            assert_eq!(shard_for_category(cat, 1), 0);
-            assert_eq!(shard_for_category(cat, 0), 0, "zero clamps to one shard");
-        }
+    fn fnv1a_matches_the_reference_value() {
         // FNV-1a reference value ("a" hashes to the known constant).
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]
-    fn sharded_index_matches_unsharded_queries_and_routing() {
-        let mut single = OnlineHistoricalIndex::new();
-        let sharded = ShardedHistoricalIndex::new(3);
-        for i in 0..40usize {
-            let e = entry(
-                i,
-                &format!("Cat{}", i % 7),
-                (i as u64 * 13) % 300,
-                vec![(i % 5) as f32, (i % 3) as f32],
-            );
-            let vis = SimTime::from_days((i as u64 * 5) % 150);
-            single.insert(e.clone(), vis);
-            let s = sharded.insert(e.clone(), vis);
-            assert_eq!(
-                s,
-                sharded.route(&e.category),
-                "insert reports the routed shard"
-            );
-        }
-        single.publish();
-        sharded.publish_all();
-        assert_eq!(sharded.len(), single.len());
-        assert_eq!(sharded.shard_count(), 3);
-        assert_eq!(sharded.poison_recoveries(), 0);
-        assert_eq!(sharded.index_stats().vectors, 40);
-        let (a, b) = (single.snapshot(), sharded.snapshot());
-        assert_eq!(b.shard_views().len(), 3);
-        let cfg = RetrievalConfig {
-            k: 5,
-            alpha: 0.3,
-            ..RetrievalConfig::default()
-        };
-        for day in [0u64, 60, 200, 400] {
-            let at = SimTime::from_days(day);
-            assert_eq!(a.visible_len(at), b.visible_len(at));
-            for q in [[0.0f32, 0.0], [3.0, 1.0], [4.5, 2.0]] {
-                assert_eq!(
-                    HistoryView::top_k_diverse(&a, &q, at, &cfg),
-                    HistoryView::top_k_diverse(&b, &q, at, &cfg),
-                    "query {q:?} at day {day}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_checkpoint_restores_across_shard_counts() {
-        let sharded = ShardedHistoricalIndex::new(4);
+    fn checkpoint_round_trips_through_json_and_restores() {
+        let mut store = OnlineHistoricalIndex::new();
         for i in 0..30usize {
-            sharded.insert(
+            store.insert(
                 entry(
                     i,
                     &format!("Cat{}", i % 5),
@@ -1277,77 +963,46 @@ mod tests {
                 SimTime::from_days((i as u64 * 2) % 80),
             );
             if i % 6 == 5 {
-                sharded.publish_all();
+                store.publish();
             }
         }
-        sharded.publish_all();
-        let ckpt = sharded.checkpoint();
-        assert_eq!(ckpt.entries.len(), sharded.len());
-        assert_eq!(ckpt.shard_epochs.len(), 4);
+        store.publish();
+        let ckpt = store.checkpoint();
+        assert_eq!(ckpt.entries.len(), store.len());
+        assert_eq!(ckpt.shard_epochs, vec![store.epoch()]);
         assert_eq!(ckpt.max_cell, CHECKPOINT_MAX_CELL);
-        // Entries come out in global insertion order.
+        // Entries come out in insertion order.
         for (i, ce) in ckpt.entries.iter().enumerate() {
             assert_eq!(ce.entry.id, i);
         }
         // The checkpoint survives a serde round trip (WAL requirement).
         let json = serde_json::to_string(&ckpt).expect("serializable");
-        let back: ShardedCheckpoint = serde_json::from_str(&json).expect("parseable");
+        let back: HistoryCheckpoint = serde_json::from_str(&json).expect("parseable");
         assert_eq!(back, ckpt);
+        let restored = OnlineHistoricalIndex::restore(&back);
+        assert_eq!(restored.len(), store.len());
+        assert_eq!(restored.epoch(), store.epoch());
         let cfg = RetrievalConfig {
             k: 4,
             alpha: 0.3,
             ..RetrievalConfig::default()
         };
-        let reference = sharded.snapshot();
-        // Restore into the same, fewer and more shards: answers identical.
-        for target in [1usize, 2, 4, 8] {
-            let restored = ShardedHistoricalIndex::restore(&ckpt, target);
-            assert_eq!(restored.shard_count(), target);
-            assert_eq!(restored.len(), sharded.len());
-            let snap = restored.snapshot();
-            for day in [0u64, 40, 120, 300] {
-                let at = SimTime::from_days(day);
-                assert_eq!(
-                    HistoryView::top_k_diverse(&reference, &[1.0], at, &cfg),
-                    HistoryView::top_k_diverse(&snap, &[1.0], at, &cfg),
-                    "restored into {target} shards must answer identically at day {day}"
-                );
-            }
+        let (reference, snap) = (store.snapshot(), restored.snapshot());
+        for day in [0u64, 40, 120, 300] {
+            let at = SimTime::from_days(day);
+            assert_eq!(
+                HistoryView::top_k_diverse(&reference, &[1.0], at, &cfg),
+                HistoryView::top_k_diverse(&snap, &[1.0], at, &cfg),
+                "restored store must answer identically at day {day}"
+            );
         }
-        // Same-count restore also restores per-shard epoch counters.
-        let same = ShardedHistoricalIndex::restore(&ckpt, 4);
-        for s in 0..4 {
-            assert_eq!(same.epoch(s), sharded.epoch(s), "shard {s} epoch");
-        }
-    }
-
-    #[test]
-    fn sharded_insert_keeps_global_sequence_for_tie_breaks() {
-        // Identical embeddings and timestamps across categories: ranking
-        // is decided purely by insertion order, which must survive
-        // sharding even though the entries land in different shards.
-        let mut single = OnlineHistoricalIndex::new();
-        let sharded = ShardedHistoricalIndex::new(8);
-        for i in 0..12usize {
-            let e = entry(100 - i, &format!("Cat{i}"), 10, vec![1.0, 1.0]);
-            single.insert(e.clone(), SimTime::EPOCH);
-            sharded.insert(e, SimTime::EPOCH);
-        }
-        single.publish();
-        sharded.publish_all();
-        let cfg = RetrievalConfig {
-            k: 6,
-            alpha: 0.0,
-            ..RetrievalConfig::default()
+        // A checkpoint from a category-sharded store carries one epoch
+        // per shard; restore resumes at the largest.
+        let sharded = HistoryCheckpoint {
+            shard_epochs: vec![3, 9, 2, 5],
+            ..ckpt
         };
-        let at = SimTime::from_days(10);
-        let (snap_a, snap_b) = (single.snapshot(), sharded.snapshot());
-        let a = HistoryView::top_k_diverse(&snap_a, &[1.0, 1.0], at, &cfg);
-        let b = HistoryView::top_k_diverse(&snap_b, &[1.0, 1.0], at, &cfg);
-        assert_eq!(a, b);
-        // All six similarities tie; order must be insertion order.
-        let ids: Vec<usize> = b.iter().map(|n| n.entry.id).collect();
-        assert_eq!(ids, vec![100, 99, 98, 97, 96, 95]);
+        assert_eq!(OnlineHistoricalIndex::restore(&sharded).epoch(), 9);
     }
 }
 
@@ -1379,7 +1034,7 @@ mod proptests {
     /// Entries from `(day, category, x, y, visible day)` specs, inserted
     /// in spec order — so timestamps arrive out of order. The small
     /// grids make duplicate embeddings and timestamps across categories
-    /// common, which only the `global_seq` tie-break can order.
+    /// common, which only the insertion-order tie-break can order.
     fn entries(specs: &[(u64, usize, i32, i32, u64)]) -> Vec<(HistoricalEntry, SimTime)> {
         specs
             .iter()
@@ -1452,7 +1107,7 @@ mod proptests {
         /// out-of-order inserts (loose zone maps), queries anywhere in
         /// history (the scan runs both ways), α = 0 (nothing pruned),
         /// duplicate embeddings and timestamps across categories (the
-        /// `global_seq` tie-break), `visible_from` filtering, publishes
+        /// insertion-order tie-break), `visible_from` filtering, publishes
         /// mid-stream, `k = 0`, and chunks of 1–4 rows so small corpora
         /// cross many chunk boundaries.
         #[test]
@@ -1488,46 +1143,44 @@ mod proptests {
             }
         }
 
-        /// Sharding is invisible to queries: for any shard count the
-        /// merged answer equals the linear scan's, and so does the answer
-        /// after a checkpoint is restored into a different shard count.
+        /// A checkpoint restored into a fresh store (default chunk size,
+        /// one publish) answers exactly as the linear scan, and so does
+        /// the store it was taken from.
         #[test]
-        fn sharded_store_and_its_restore_equal_linear_scan(
+        fn store_and_its_restore_equal_linear_scan(
             k in 0usize..8,
             alpha in proptest::sample::select(vec![0.0f64, 0.02, 0.3, 2.0]),
-            shards in 1usize..9,
-            restore_shards in 1usize..9,
             chunk_rows in 1usize..5,
             query_day in 0u64..70,
             specs in proptest::collection::vec(
                 (0u64..60, 0usize..6, 0i32..4, 0i32..4, 0u64..60), 1..50)
         ) {
             let entries = entries(&specs);
-            let sharded = ShardedHistoricalIndex::with_chunk_rows(shards, chunk_rows);
+            let mut store = OnlineHistoricalIndex::with_chunk_rows(chunk_rows);
             for (i, (e, visible_from)) in entries.iter().enumerate() {
-                let s = sharded.insert(e.clone(), *visible_from);
+                store.insert(e.clone(), *visible_from);
                 if i % 3 == 0 {
-                    sharded.publish(s);
+                    store.publish();
                 }
             }
-            sharded.publish_all();
-            prop_assert_eq!(sharded.len(), entries.len());
-            let restored = ShardedHistoricalIndex::restore(&sharded.checkpoint(), restore_shards);
+            store.publish();
+            prop_assert_eq!(store.len(), entries.len());
+            let restored = OnlineHistoricalIndex::restore(&store.checkpoint());
             let cfg = RetrievalConfig { k, alpha, ..RetrievalConfig::default() };
             let at = SimTime::from_days(query_day);
             let linear = oracle(&entries, at);
-            let (a, b) = (sharded.snapshot(), restored.snapshot());
+            let (a, b) = (store.snapshot(), restored.snapshot());
             for q in QUERIES {
                 let want = fingerprint(&linear.top_k_diverse(&q, at, &cfg));
                 prop_assert_eq!(
                     &fingerprint(&HistoryView::top_k_diverse(&a, &q, at, &cfg)),
                     &want,
-                    "{} shards, query {:?}", shards, q
+                    "store, query {:?}", q
                 );
                 prop_assert_eq!(
                     &fingerprint(&HistoryView::top_k_diverse(&b, &q, at, &cfg)),
                     &want,
-                    "restored into {} shards, query {:?}", restore_shards, q
+                    "restore, query {:?}", q
                 );
             }
         }

@@ -17,14 +17,3 @@ pub struct IndexStats {
     /// Estimated resident bytes.
     pub bytes: usize,
 }
-
-impl IndexStats {
-    /// Folds another report into this one (cross-shard aggregation):
-    /// counts add, `dim` takes the max.
-    pub fn merge(&mut self, other: &IndexStats) {
-        self.vectors += other.vectors;
-        self.dim = self.dim.max(other.dim);
-        self.chunks += other.chunks;
-        self.bytes += other.bytes;
-    }
-}

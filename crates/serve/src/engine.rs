@@ -46,14 +46,13 @@ use crate::vmetrics::{
 use crate::wal::{Recovery, WalError, WalRecord, WriteAheadLog};
 use rcacopilot_core::memo::{ExactMemo, MemoPolicy};
 use rcacopilot_core::plan::{InferencePlan, PlanCaches, PlanExecutor, StageHook, SummarizeMode};
-use rcacopilot_core::retrieval::{CheckpointEntry, ShardedHistoricalIndex};
+use rcacopilot_core::retrieval::{CheckpointEntry, OnlineHistoricalIndex};
 use rcacopilot_core::{CollectionStage, ContextSpec, HistoricalEntry, RcaCopilot, RcaPrediction};
 use rcacopilot_simcloud::Incident;
 use rcacopilot_telemetry::ids::TenantId;
 use rcacopilot_telemetry::{AlertType, Severity, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
-use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -82,7 +81,7 @@ pub enum IndexMode {
 /// known-poisonous storm to the worker pool, so a flapping tenant burns
 /// its own breaker instead of the shared workers. Because the plan
 /// depends only on the stream and the fault seed, the prediction log
-/// stays byte-identical for every worker and shard count.
+/// stays byte-identical for every worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerConfig {
     /// Planned quarantines before the breaker opens (≥ 1).
@@ -108,7 +107,10 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Bound of the dispatch queue (≥ 1).
     pub queue_capacity: usize,
-    /// Retrieval index mode.
+    /// Retrieval index mode. [`IndexMode::Online`] keeps one history
+    /// store behind one mutex: inserts and publishes happen at the commit
+    /// watermark, and a query clones the published snapshot under the
+    /// lock and scores it outside.
     pub index_mode: IndexMode,
     /// Admission-control policy.
     pub admission: AdmissionConfig,
@@ -116,12 +118,6 @@ pub struct EngineConfig {
     pub cost_seed: u64,
     /// Ignored; kept for the benchmark crate.
     pub max_cell: usize,
-    /// Retrieval-index shards (≥ 1). Entries route to a shard by a
-    /// stable hash of their category, each shard owns its own lock and
-    /// epoch state, and the cross-shard merge preserves exact scores and
-    /// tie order — the prediction log is byte-identical for every shard
-    /// count. The memo caches shard to the same width.
-    pub shards: usize,
     /// Prompt-context configuration (must match the batch pipeline's for
     /// parity).
     pub spec: ContextSpec,
@@ -150,8 +146,7 @@ pub struct EngineConfig {
     pub breaker: Option<BreakerConfig>,
     /// Shared physical memo caches, for multi-tenant runs that bulkhead
     /// one cache pool across tenants via key namespacing (`None` = the
-    /// engine builds its own). A shared pool must have been created with
-    /// this config's shard count.
+    /// engine builds its own).
     pub caches: Option<Arc<PlanCaches>>,
     /// Simulated crash: stop dispatching at the first event arriving
     /// after this virtual instant, leaving the rest of the stream
@@ -181,7 +176,6 @@ impl Default for EngineConfig {
             admission: AdmissionConfig::default(),
             cost_seed: 11,
             max_cell: 64,
-            shards: 1,
             spec: ContextSpec::default(),
             memo: Arc::new(ExactMemo),
             faults: WorkerFaultConfig::disabled(),
@@ -400,7 +394,7 @@ struct RunCtx<'a> {
     events: &'a [StreamEvent],
     plan: &'a AdmissionPlan,
     resolve: &'a [Option<SimTime>],
-    online: Option<&'a ShardedHistoricalIndex>,
+    online: Option<&'a Mutex<OnlineHistoricalIndex>>,
     inference: &'a InferencePlan,
     caches: &'a PlanCaches,
     counters: &'a FaultCounters,
@@ -467,7 +461,7 @@ impl StageHook for RealtimeStageHook<'_> {
 /// WAL. Owned by [`advance`], which runs under the commit-state lock, so
 /// journal order always equals commit order.
 struct CommitSink<'a> {
-    online: Option<&'a ShardedHistoricalIndex>,
+    online: Option<&'a Mutex<OnlineHistoricalIndex>>,
     wal: Option<&'a Mutex<&'a mut WriteAheadLog>>,
     checkpoint_every: usize,
     counters: &'a FaultCounters,
@@ -582,8 +576,8 @@ impl ServeEngine {
     /// the original entry's identity, arrival time and embedding with the
     /// OCE's corrected category and summary, visible to queries from the
     /// correction instant onward. The next [`ServeEngine::run_with_wal`]
-    /// over the journal replays the correction into the corrected
-    /// category's shard alongside the committed entries — starting the
+    /// over the journal replays the correction into the history store
+    /// alongside the committed entries — starting the
     /// feedback-ingestion loop the batch pipeline's `FeedbackStore` only
     /// records. Returns the corrected entry as journaled.
     pub fn ingest_feedback(
@@ -712,37 +706,11 @@ impl ServeEngine {
         let clock = self.config.clock.build();
         let wall_latencies: Mutex<Vec<u64>> = Mutex::new(Vec::new());
 
-        let shards = self.config.shards.max(1);
-        let online: Option<ShardedHistoricalIndex> = match self.config.index_mode {
+        // Replays journaled entries (commits and feedback corrections)
+        // after the checkpoint, or warm-starts from the training index.
+        let online: Option<Mutex<OnlineHistoricalIndex>> = match self.config.index_mode {
             IndexMode::Frozen => None,
-            IndexMode::Online => {
-                let idx = match &recovery.checkpoint {
-                    // A checkpoint restores into *this* run's shard
-                    // count: entries re-route deterministically, so the
-                    // answers (and the log) don't depend on the crashed
-                    // run's count.
-                    Some(ckpt) => ShardedHistoricalIndex::restore(ckpt, shards),
-                    None => ShardedHistoricalIndex::warm(self.copilot.index().entries(), shards),
-                };
-                // Re-apply entries journaled after the last checkpoint —
-                // commits and feedback corrections, in journal order —
-                // and publish each touched shard once: epoch-batch
-                // boundaries are immaterial because visibility is
-                // filtered per query by `visible_from`.
-                let mut dirty = BTreeSet::new();
-                for ce in &recovery.entries {
-                    dirty.insert(idx.insert(ce.entry.clone(), ce.visible_from));
-                }
-                for shard in dirty {
-                    idx.publish(shard);
-                }
-                for (&shard, &epoch) in &recovery.shard_epochs {
-                    if shard < idx.shard_count() && epoch > idx.epoch(shard) {
-                        idx.set_epoch(shard, epoch);
-                    }
-                }
-                Some(idx)
-            }
+            IndexMode::Online => Some(Mutex::new(recovery.history(self.copilot.index().entries()))),
         };
         // A shared pool (multi-tenant bulkheading) or a private one; the
         // inference plan's memo policy is namespaced to the tenant either
@@ -752,7 +720,7 @@ impl ServeEngine {
             .config
             .caches
             .clone()
-            .unwrap_or_else(|| Arc::new(PlanCaches::new(shards)));
+            .unwrap_or_else(|| Arc::new(PlanCaches::new(1)));
         let inference = InferencePlan {
             spec: self.config.spec,
             retrieval: None,
@@ -1273,7 +1241,7 @@ impl ServeEngine {
         let outcome = match ctx.online {
             None => executor.run_incident(inc, ev.at, self.copilot.index(), mode),
             Some(online) => {
-                let snapshot = online.snapshot();
+                let snapshot = lock_recovered(online, ctx.counters).snapshot();
                 executor.run_incident(inc, ev.at, &snapshot, mode)
             }
         };
@@ -1331,7 +1299,7 @@ impl ServeEngine {
         costs: &[StageCosts],
         plan: &AdmissionPlan,
         resolve: &[Option<SimTime>],
-        online: Option<&ShardedHistoricalIndex>,
+        online: Option<&Mutex<OnlineHistoricalIndex>>,
         caches: &PlanCaches,
         counters: &FaultCounters,
         peak_queue: usize,
@@ -1374,13 +1342,17 @@ impl ServeEngine {
         let exec = simulate_pool(&jobs, self.config.workers.max(1));
         let (sum_hits, sum_misses) = caches.summary.stats();
         let (emb_hits, emb_misses) = caches.embed.stats();
-        // Fold the locks recovered inside the index and the memo caches
-        // into the run's fault counters before rendering them.
-        if let Some(o) = online {
-            counters
-                .poison_recoveries
-                .fetch_add(o.poison_recoveries(), Ordering::Relaxed);
-        }
+        let (online_len, online_stats) = online
+            .map(|o| {
+                let index = lock_recovered(o, counters);
+                (
+                    index.len(),
+                    crate::vmetrics::index_stats_json(&index.index_stats()),
+                )
+            })
+            .unzip();
+        // Fold the locks recovered inside the memo caches into the run's
+        // fault counters before rendering them.
         counters
             .poison_recoveries
             .fetch_add(caches.poison_recoveries(), Ordering::Relaxed);
@@ -1447,7 +1419,6 @@ impl ServeEngine {
                     IndexMode::Online => "online",
                 },
                 "cost_seed": self.config.cost_seed,
-                "shards": self.config.shards.max(1),
                 "tenant": self.config.tenant.0,
             },
             "stream": {
@@ -1478,9 +1449,8 @@ impl ServeEngine {
             "faults": counters.to_json(),
             "durability": durability,
             "queue": { "peak_depth": peak_queue },
-            "online_index_len": online.map(ShardedHistoricalIndex::len),
-            "online_index_stats": online
-                .map(|o| crate::vmetrics::index_stats_json(&o.index_stats())),
+            "online_index_len": online_len,
+            "online_index_stats": online_stats,
             "clock": match self.config.clock.mode() {
                 ClockMode::Virtual => "virtual",
                 ClockMode::Real => "real",
@@ -1513,11 +1483,11 @@ fn commit(env: &WorkerEnv<'_>, i: usize, slot: Slot) {
 
 /// Advances the commit watermark over contiguous finished slots —
 /// journaling each commit, inserting online entries in commit order
-/// (publishing one epoch per *touched shard* per batch, journaled as
-/// shard-tagged [`WalRecord::Epoch`]s), and folding the WAL into a
-/// checkpoint on the configured cadence.
+/// (publishing one epoch per batch that inserted, journaled as a
+/// [`WalRecord::Epoch`]), and folding the WAL into a checkpoint on the
+/// configured cadence.
 fn advance(st: &mut CommitState, sink: &CommitSink<'_>) {
-    let mut dirty: BTreeSet<usize> = BTreeSet::new();
+    let mut publish = None;
     while st.next < st.slots.len() {
         let Some(slot) = st.slots[st.next].as_mut() else {
             break;
@@ -1533,26 +1503,21 @@ fn advance(st: &mut CommitState, sink: &CommitSink<'_>) {
                 }),
             });
         }
-        if let Some((entry, visible_from)) = entry {
-            if let Some(online) = sink.online {
-                dirty.insert(online.insert(entry, visible_from));
-            }
+        if let (Some((entry, visible_from)), Some(online)) = (entry, sink.online) {
+            lock_recovered(online, sink.counters).insert(entry, visible_from);
+            publish = Some(online);
         }
         st.next += 1;
     }
-    if let Some(online) = sink.online {
-        // Publish touched shards in index order; untouched shards keep
-        // their epoch (no epoch churn from unrelated commits).
-        for shard in dirty {
-            let epoch = online.publish(shard);
-            if let Some(wal) = sink.wal {
-                lock_recovered(wal, sink.counters).append(&WalRecord::Epoch {
-                    shard,
-                    epoch,
-                    committed: st.next,
-                    tenant: sink.tenant,
-                });
-            }
+    if let Some(online) = publish {
+        let epoch = lock_recovered(online, sink.counters).publish();
+        if let Some(wal) = sink.wal {
+            lock_recovered(wal, sink.counters).append(&WalRecord::Epoch {
+                shard: 0,
+                epoch,
+                committed: st.next,
+                tenant: sink.tenant,
+            });
         }
     }
     if let Some(wal) = sink.wal {
@@ -1573,7 +1538,9 @@ fn advance(st: &mut CommitState, sink: &CommitSink<'_>) {
                         .clone()
                 })
                 .collect();
-            let index = sink.online.map(ShardedHistoricalIndex::checkpoint);
+            let index = sink
+                .online
+                .map(|online| lock_recovered(online, sink.counters).checkpoint());
             wal.install_checkpoint(records, index, sink.tenant);
         }
     }

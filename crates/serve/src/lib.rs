@@ -15,17 +15,17 @@
 //!   token bucket sheds low-severity alerts first during storms and
 //!   degrades summarization under pressure, priced by an ex-ante cost
 //!   model ([`cost`]) that reads only alert metadata.
-//! - **Sharded incremental history**: in [`engine::IndexMode::Online`]
-//!   each incident joins the retrieval index when it *resolves*, through
+//! - **Incremental history**: in [`engine::IndexMode::Online`] each
+//!   incident joins the retrieval index when it *resolves*, through
 //!   epoch-snapshotted read views, so the stream learns from itself
 //!   without ever letting an unresolved (or future) incident leak into a
-//!   prompt. The index is split into per-category shards
-//!   (`EngineConfig::shards`), each with its own lock and epoch state;
-//!   a bound-ordered cross-shard merge keeps the prediction log
-//!   byte-identical to the single-lock plane for any shard count, and
-//!   the memo caches (`rcacopilot_core::memo`, keyed by the engine's
-//!   pluggable [`engine::EngineConfig::memo`] policy) shard to the same
-//!   width. OCE corrections re-enter the index via
+//!   prompt. The engine owns one exact history store
+//!   (`rcacopilot_core::OnlineHistoricalIndex`) behind one mutex that
+//!   covers inserts, publishes and snapshot clones; queries run on the
+//!   snapshot outside the lock. The memo caches
+//!   (`rcacopilot_core::memo`, keyed by the engine's pluggable
+//!   [`engine::EngineConfig::memo`] policy) sit beside it. OCE
+//!   corrections re-enter the index via
 //!   [`engine::ServeEngine::ingest_feedback`], journaled and replayed
 //!   with a visibility watermark.
 //! - **Virtual-time metrics** ([`vmetrics`]): per-stage latency
@@ -48,12 +48,12 @@
 //!   are recovered, not fatal. An event that keeps killing workers is
 //!   quarantined as a poison pill with a dead-letter
 //!   [`engine::EventOutcome::Failed`] record.
-//! - **Write-ahead log** ([`wal`]): commits, shard-tagged index epochs
-//!   and feedback corrections are journaled (with periodic checkpoint
-//!   folding) so an engine killed mid-stream resumes — via
+//! - **Write-ahead log** ([`wal`]): commits, index epochs and feedback
+//!   corrections are journaled (with periodic checkpoint folding) so an
+//!   engine killed mid-stream resumes — via
 //!   [`engine::ServeEngine::run_with_wal`] — with a prediction log
-//!   byte-identical to an uninterrupted run, even when the resumed run
-//!   uses a different shard count. Every record is CRC32C-framed;
+//!   byte-identical to an uninterrupted run, at any worker count. Every
+//!   record is CRC32C-framed;
 //!   corruption is quarantined as a counted dead letter (with
 //!   scan-forward resync), never fatal.
 //! - **Storage fault plane** ([`storage`]): the WAL writes through a
@@ -139,8 +139,5 @@ pub use supervisor::{AttemptLedger, RetryQueue, Verdict};
 pub use tenant::{
     MultiTenantConfig, MultiTenantEngine, MultiTenantOutcome, TenantError, TenantRun, TenantSpec,
 };
-pub use vmetrics::{
-    simulate_drr, simulate_tenant_shards, DrrJob, DrrStats, ExecStats, FaultCounters,
-    ShardScaleStats, VirtualHistogram,
-};
+pub use vmetrics::{simulate_drr, DrrJob, DrrStats, ExecStats, FaultCounters, VirtualHistogram};
 pub use wal::{QuarantinedRecord, Recovery, WalError, WalRecord, WriteAheadLog};

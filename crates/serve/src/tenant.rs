@@ -25,9 +25,8 @@
 //! Because a solo baseline run uses the *same* derived config over the
 //! *same* incident slice, every tenant's prediction log in a merged run
 //! is byte-identical to its solo run **by construction** — the strongest
-//! possible noisy-neighbor isolation guarantee, verified across worker,
-//! shard-count and scheduler geometries by the `serve_tenants` proptest
-//! suite.
+//! possible noisy-neighbor isolation guarantee, verified across worker
+//! and scheduler geometries by the `serve_tenants` proptest suite.
 //!
 //! **The tenant-sharded scheduler.** Tenant runs are independent by the
 //! isolation argument above, so the plane scales by *sharding tenants*,
@@ -497,7 +496,7 @@ impl MultiTenantEngine {
         wal: Option<&mut WriteAheadLog>,
     ) -> Result<(Vec<ServeOutcome>, u64), TenantError> {
         let total = self.total_weight();
-        let shared = Arc::new(PlanCaches::new(self.config.base.shards.max(1)));
+        let shared = Arc::new(PlanCaches::new(1));
         // The shard-aware virtual-time merge: one plane-wide cursor all
         // tenant engines advance (fetch_max — commutative, so the merged
         // horizon is independent of shard interleaving). Real clocks are
@@ -913,7 +912,6 @@ mod tests {
             base.admission.capacity_secs / 4
         );
         assert_eq!(cfg.workers, base.workers);
-        assert_eq!(cfg.shards, base.shards);
     }
 
     #[test]

@@ -18,11 +18,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// The report predates the structured [`crate::metrics`] exporter and
 /// keeps evolving with the engine; this explicit version lets the two
 /// formats drift independently without silently breaking consumers.
-/// History: 1 = implicit pre-PR-9 shape; 2 = adds `schema_version`,
-/// `clock`, and the real-mode `wall` section.
+/// History: 1 = the implicit shape before the field existed; 2 = adds
+/// `schema_version`, `clock`, and the real-mode `wall` section; 3 = drops
+/// `engine.shards` (the engine keeps one history store).
 ///
 /// [`ServeOutcome::report`]: crate::engine::ServeOutcome::report
-pub const REPORT_SCHEMA_VERSION: u32 = 2;
+pub const REPORT_SCHEMA_VERSION: u32 = 3;
 
 /// Robustness counters for one engine run.
 ///
@@ -554,168 +555,6 @@ pub fn simulate_drr(
     }
 }
 
-/// Result of [`simulate_tenant_shards`]: the merged view of a
-/// tenant-sharded run plus each shard's own [`ExecStats`].
-#[derive(Debug, Clone)]
-pub struct ShardScaleStats {
-    /// Shard count the jobs were dealt over.
-    pub shards: usize,
-    /// One FCFS pool result per shard, in shard order.
-    pub per_shard: Vec<ExecStats>,
-    /// Virtual makespan of the whole run: the latest shard finish minus
-    /// the earliest arrival overall (0 when no jobs).
-    pub merged_makespan_secs: u64,
-    /// Total jobs across all shards.
-    pub completed: usize,
-}
-
-impl ShardScaleStats {
-    /// Completed jobs per virtual hour across the merged run.
-    pub fn throughput_per_hour(&self) -> f64 {
-        if self.merged_makespan_secs == 0 {
-            return 0.0;
-        }
-        self.completed as f64 * 3_600.0 / self.merged_makespan_secs as f64
-    }
-
-    /// JSON summary: merged makespan/throughput plus per-shard load.
-    pub fn to_json(&self) -> Value {
-        let per_shard: Vec<Value> = self
-            .per_shard
-            .iter()
-            .map(|s| {
-                json!({
-                    "completed": s.completed,
-                    "makespan_secs": s.makespan_secs,
-                    "p99_latency_secs": s.latencies.percentile(0.99),
-                })
-            })
-            .collect();
-        json!({
-            "shards": self.shards,
-            "completed": self.completed,
-            "merged_makespan_secs": self.merged_makespan_secs,
-            "throughput_per_hour": self.throughput_per_hour(),
-            "per_shard": per_shard,
-        })
-    }
-}
-
-/// Models the tenant-sharded runtime: tenants are dealt round-robin to
-/// `shards` shard workers (`tenant_slot % shards` — exactly the
-/// scheduler's assignment), and each shard is one FCFS server executing
-/// its tenants' admitted events in arrival order. This is the
-/// virtual-time composition the `serve_tenant_scale` bench asserts
-/// monotone over shard counts: adding shards splits the heavy-tailed
-/// tenant load, so the merged makespan (latest shard finish − earliest
-/// arrival) cannot grow as long as no single tenant dominates the total
-/// service demand.
-///
-/// `jobs` must be sorted by arrival (ties keep slice order), the same
-/// contract as [`simulate_drr`].
-pub fn simulate_tenant_shards(jobs: &[DrrJob], shards: usize) -> ShardScaleStats {
-    let k = shards.max(1);
-    let mut buckets: Vec<Vec<VirtualJob>> = vec![Vec::new(); k];
-    let mut first_arrival = u64::MAX;
-    for job in jobs {
-        first_arrival = first_arrival.min(job.arrival_secs);
-        buckets[job.tenant_slot % k].push(VirtualJob {
-            arrival_secs: job.arrival_secs,
-            service_secs: job.service_secs,
-        });
-    }
-    let per_shard: Vec<ExecStats> = buckets.iter().map(|b| simulate_pool(b, 1)).collect();
-    // A shard's last finish is its first arrival plus its makespan.
-    let last_finish = buckets
-        .iter()
-        .zip(&per_shard)
-        .filter_map(|(bucket, stats)| {
-            bucket
-                .first()
-                .map(|job| job.arrival_secs + stats.makespan_secs)
-        })
-        .max();
-    let merged_makespan_secs = match last_finish {
-        Some(finish) => finish.saturating_sub(first_arrival),
-        None => 0,
-    };
-    ShardScaleStats {
-        shards: k,
-        per_shard,
-        merged_makespan_secs,
-        completed: jobs.len(),
-    }
-}
-
-/// One retrieval-plane operation for the shard-lock simulation: an
-/// index lookup or insert that must hold one shard's lock while served.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardOp {
-    /// Arrival instant (virtual seconds since stream epoch).
-    pub arrival_secs: u64,
-    /// Lock-hold / service demand (virtual seconds).
-    pub service_secs: u64,
-    /// Shard whose lock the operation needs.
-    pub shard: usize,
-}
-
-/// Simulates `requesters` FCFS request threads driving `shards`
-/// single-holder shard locks over `ops` (sorted by arrival; ties keep
-/// slice order). A request occupies its requester *and* its op's shard
-/// lock for the full service window — a thread blocks on the mutex it
-/// needs — so with one shard every operation serializes (the old
-/// single-mutex retrieval plane) and with more shards only same-shard
-/// operations contend. Deterministic: the earliest-free requester takes
-/// the next op in arrival order.
-pub fn simulate_shard_locks(ops: &[ShardOp], requesters: usize, shards: usize) -> ExecStats {
-    let shards = shards.max(1);
-    let requesters = requesters.max(1);
-    let mut free: BinaryHeap<Reverse<u64>> = (0..requesters).map(|_| Reverse(0u64)).collect();
-    let mut shard_free = vec![0u64; shards];
-    let mut waits = VirtualHistogram::new();
-    let mut latencies = VirtualHistogram::new();
-    let mut starts: Vec<u64> = Vec::with_capacity(ops.len());
-    let mut last_finish = 0u64;
-    for op in ops {
-        let Reverse(free_at) = free.pop().expect("requester heap never empty");
-        let lock_free = shard_free[op.shard % shards];
-        let start = free_at.max(op.arrival_secs).max(lock_free);
-        let finish = start + op.service_secs;
-        free.push(Reverse(finish));
-        shard_free[op.shard % shards] = finish;
-        starts.push(start);
-        waits.record(start - op.arrival_secs);
-        latencies.record(finish - op.arrival_secs);
-        last_finish = last_finish.max(finish);
-    }
-    // Peak backlog: same sweep as `simulate_pool` — starts sort before
-    // arrivals at equal instants so an unqueued op never counts.
-    let mut deltas: Vec<(u64, i32, i32)> = Vec::with_capacity(ops.len() * 2);
-    for (op, &start) in ops.iter().zip(&starts) {
-        deltas.push((op.arrival_secs, 1, 1));
-        deltas.push((start, 0, -1));
-    }
-    deltas.sort_unstable();
-    let mut depth = 0i32;
-    let mut peak = 0i32;
-    for (_, _, d) in deltas {
-        depth += d;
-        peak = peak.max(depth);
-    }
-    let makespan = if ops.is_empty() {
-        0
-    } else {
-        last_finish.saturating_sub(ops[0].arrival_secs)
-    };
-    ExecStats {
-        waits,
-        latencies,
-        makespan_secs: makespan,
-        peak_queue_depth: peak.max(0) as usize,
-        completed: ops.len(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -784,63 +623,6 @@ mod tests {
         assert_eq!(stats.completed, 0);
         assert_eq!(stats.makespan_secs, 0);
         assert_eq!(stats.throughput_per_hour(), 0.0);
-        let shard_stats = simulate_shard_locks(&[], 4, 4);
-        assert_eq!(shard_stats.completed, 0);
-        assert_eq!(shard_stats.throughput_per_hour(), 0.0);
-    }
-
-    #[test]
-    fn tenant_shards_with_one_shard_match_the_single_pool() {
-        let jobs: Vec<DrrJob> = (0..60)
-            .map(|i| DrrJob {
-                tenant_slot: i % 5,
-                arrival_secs: (i as u64 / 3) * 45,
-                service_secs: 100 + (i as u64 % 4) * 50,
-            })
-            .collect();
-        let pool_jobs: Vec<VirtualJob> = jobs
-            .iter()
-            .map(|j| VirtualJob {
-                arrival_secs: j.arrival_secs,
-                service_secs: j.service_secs,
-            })
-            .collect();
-        let one = simulate_tenant_shards(&jobs, 1);
-        let pool = simulate_pool(&pool_jobs, 1);
-        assert_eq!(one.merged_makespan_secs, pool.makespan_secs);
-        assert_eq!(one.completed, pool.completed);
-        assert_eq!(one.per_shard.len(), 1);
-        let empty = simulate_tenant_shards(&[], 4);
-        assert_eq!(empty.completed, 0);
-        assert_eq!(empty.throughput_per_hour(), 0.0);
-    }
-
-    #[test]
-    fn tenant_shards_scale_monotonically_on_a_spread_fleet() {
-        // 64 tenants of comparable volume, arrivals bunched early so the
-        // pool is backlogged — the regime the scale bench asserts in.
-        let mut jobs: Vec<DrrJob> = Vec::new();
-        for slot in 0..64usize {
-            for e in 0..8u64 {
-                jobs.push(DrrJob {
-                    tenant_slot: slot,
-                    arrival_secs: e * 20 + (slot as u64 % 7),
-                    service_secs: 150 + (slot as u64 % 5) * 30,
-                });
-            }
-        }
-        jobs.sort_by_key(|j| j.arrival_secs);
-        let mut last = f64::NEG_INFINITY;
-        for shards in [1usize, 2, 4, 8] {
-            let stats = simulate_tenant_shards(&jobs, shards);
-            assert_eq!(stats.completed, jobs.len());
-            assert!(
-                stats.throughput_per_hour() >= last,
-                "{shards} shards regressed: {} < {last}",
-                stats.throughput_per_hour()
-            );
-            last = stats.throughput_per_hour();
-        }
     }
 
     #[test]
@@ -961,47 +743,5 @@ mod tests {
             serde_json::to_string(&again.merged.to_json()).unwrap()
         );
         assert_eq!(stats.merged.completed, 65);
-    }
-
-    #[test]
-    fn one_shard_serializes_like_a_single_lock() {
-        // Plenty of requesters, one lock: everything serializes.
-        let ops: Vec<ShardOp> = (0..10)
-            .map(|i| ShardOp {
-                arrival_secs: 0,
-                service_secs: 10,
-                shard: i % 4,
-            })
-            .collect();
-        let single = simulate_shard_locks(&ops, 8, 1);
-        assert_eq!(single.makespan_secs, 100, "one lock ⇒ sequential");
-        // Four shards, round-robin ops: perfect 4-way split.
-        let quad = simulate_shard_locks(&ops, 8, 4);
-        assert_eq!(quad.makespan_secs, 30, "ceil(10/4) ops per shard × 10s");
-        assert!(quad.throughput_per_hour() > single.throughput_per_hour());
-    }
-
-    #[test]
-    fn more_shards_never_hurt_lock_throughput() {
-        let ops: Vec<ShardOp> = (0..60)
-            .map(|i| ShardOp {
-                arrival_secs: (i / 6) * 5,
-                service_secs: 8 + (i % 5) * 3,
-                shard: ((i * 7 + 3) % 8) as usize,
-            })
-            .collect();
-        let mut prev_makespan = u64::MAX;
-        for shards in [1usize, 2, 4, 8] {
-            let stats = simulate_shard_locks(&ops, 12, shards);
-            assert_eq!(stats.completed, ops.len());
-            assert!(
-                stats.makespan_secs <= prev_makespan,
-                "{shards} shards regressed the makespan"
-            );
-            prev_makespan = stats.makespan_secs;
-        }
-        // Shard indices outside the shard count wrap instead of panicking.
-        let wrapped = simulate_shard_locks(&ops, 12, 3);
-        assert_eq!(wrapped.completed, ops.len());
     }
 }

@@ -3,11 +3,11 @@
 //! An on-call RCA service must survive being killed mid-stream: redeploys,
 //! OOM kills and node failures all land during exactly the incident storms
 //! the service exists for. The engine therefore journals its durable
-//! state transitions — in-order event commits, per-shard online-index
-//! epoch publishes and OCE feedback corrections — as checksummed JSON
-//! lines, and periodically folds the journal into a single
+//! state transitions — in-order event commits, online-index epoch
+//! publishes and OCE feedback corrections — as checksummed JSON lines,
+//! and periodically folds the journal into a single
 //! [`WalRecord::Checkpoint`] carrying the committed records plus a
-//! serialized [`ShardedCheckpoint`] of the retrieval index.
+//! serialized [`HistoryCheckpoint`] of the retrieval index.
 //!
 //! **Recovery invariant**: a run resumed from a WAL produces a prediction
 //! log byte-identical to the uninterrupted run, for any worker count and
@@ -18,14 +18,14 @@
 //! 2. The JSON shim prints `f64` with shortest-round-trip formatting, so
 //!    every confidence/completeness survives the round trip exactly and
 //!    re-rendered [`EventRecord::log_line`]s are byte-identical.
-//! 3. Recovery re-inserts index entries in commit order — the
-//!    deterministic category router reassigns shards and global sequence
-//!    numbers identically — and publishes every shard once; epoch-batch
-//!    boundaries are immaterial to retrieval because visibility is
-//!    filtered per query by `visible_from`. A checkpoint therefore
-//!    restores correctly into *any* shard count, and [`WalRecord::Epoch`]
-//!    records are tagged with the shard they published purely for
-//!    journal/epoch-counter continuity.
+//! 3. Recovery re-inserts index entries in their journaled order — which
+//!    is their insertion order, the retrieval tie-break — and publishes
+//!    once; epoch-batch boundaries are immaterial to retrieval because
+//!    visibility is filtered per query by `visible_from`.
+//!    [`WalRecord::Epoch`] records only carry the epoch counter across
+//!    restarts. Their `shard` field is always written as 0; journals
+//!    from category-sharded engines carry other values, and recovery
+//!    resumes at the largest epoch any shard recorded.
 //!
 //! **Record framing**: each line is `crc32c:<8 hex digits>:<JSON>`, the
 //! CRC-32C of the payload guarding against bit rot and torn pages.
@@ -84,7 +84,9 @@
 
 use crate::engine::EventRecord;
 use crate::storage::{crc32c, is_out_of_space, DurableFile, WalSink};
-use rcacopilot_core::retrieval::{CheckpointEntry, ShardedCheckpoint};
+use rcacopilot_core::retrieval::{
+    CheckpointEntry, HistoricalEntry, HistoryCheckpoint, OnlineHistoricalIndex,
+};
 use rcacopilot_telemetry::ids::TenantId;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -107,12 +109,14 @@ pub enum WalRecord {
         /// Index entry inserted at this commit, if any.
         entry: Option<CheckpointEntry>,
     },
-    /// Shard `shard` of tenant `tenant`'s online index published epoch
-    /// `epoch` after commit `committed`.
+    /// Tenant `tenant`'s online index published epoch `epoch` after
+    /// commit `committed`.
     Epoch {
-        /// Shard that published.
+        /// Always 0: the field keeps the record format of journals
+        /// written by category-sharded engines, which tagged each
+        /// shard's publish.
         shard: usize,
-        /// The shard's published epoch number.
+        /// The published epoch number.
         epoch: u64,
         /// Commits covered by the epoch.
         committed: usize,
@@ -120,8 +124,8 @@ pub enum WalRecord {
         tenant: TenantId,
     },
     /// An OCE corrected a served prediction: the corrected entry is
-    /// re-inserted into its category's shard on replay, visible to
-    /// queries from its `visible_from` watermark.
+    /// re-inserted into the history store on replay, visible to queries
+    /// from its `visible_from` watermark.
     Feedback {
         /// The corrected entry and its visibility watermark.
         entry: CheckpointEntry,
@@ -137,7 +141,7 @@ pub enum WalRecord {
         /// The committed records, stream order.
         records: Vec<EventRecord>,
         /// Serialized online-index state (`None` in frozen-index mode).
-        index: Option<ShardedCheckpoint>,
+        index: Option<HistoryCheckpoint>,
         /// Tenant whose stream the checkpoint folds.
         tenant: TenantId,
     },
@@ -210,13 +214,13 @@ pub struct Recovery {
     /// Committed event records, stream order (the prefix `0..committed`).
     pub records: Vec<EventRecord>,
     /// Index checkpoint to rebuild from, if one was folded.
-    pub checkpoint: Option<ShardedCheckpoint>,
+    pub checkpoint: Option<HistoryCheckpoint>,
     /// Index entries journaled after the checkpoint — commits and
     /// feedback corrections interleaved — in journal order.
     pub entries: Vec<CheckpointEntry>,
-    /// Last journaled epoch number per shard (absent if the shard never
-    /// published after the checkpoint).
-    pub shard_epochs: BTreeMap<usize, u64>,
+    /// Largest epoch number journaled after the checkpoint (`None` if
+    /// nothing published since).
+    pub epoch: Option<u64>,
 }
 
 impl Recovery {
@@ -227,7 +231,26 @@ impl Recovery {
 
     /// True when the journal held nothing (a fresh run).
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty() && self.checkpoint.is_none()
+        self.records.is_empty() && self.checkpoint.is_none() && self.entries.is_empty()
+    }
+
+    /// Rebuilds the online history store the journal describes: the
+    /// checkpoint's entries (or `warm` when none was folded), then the
+    /// entries journaled after it in journal order, published once. The
+    /// epoch counter resumes at the largest epoch the journal recorded.
+    pub(crate) fn history(&self, warm: &[HistoricalEntry]) -> OnlineHistoricalIndex {
+        let mut idx = match &self.checkpoint {
+            Some(ckpt) => OnlineHistoricalIndex::restore(ckpt),
+            None => OnlineHistoricalIndex::warm(warm, 0),
+        };
+        for ce in &self.entries {
+            idx.insert(ce.entry.clone(), ce.visible_from);
+        }
+        if !self.entries.is_empty() {
+            idx.publish();
+        }
+        idx.resume_epoch(self.epoch.unwrap_or(0));
+        idx
     }
 }
 
@@ -577,7 +600,7 @@ impl WriteAheadLog {
     pub fn install_checkpoint(
         &mut self,
         records: Vec<EventRecord>,
-        index: Option<ShardedCheckpoint>,
+        index: Option<HistoryCheckpoint>,
         tenant: TenantId,
     ) {
         let committed = records.len();
@@ -770,7 +793,7 @@ impl WriteAheadLog {
                     recovery.records = records;
                     recovery.checkpoint = index;
                     recovery.entries.clear();
-                    recovery.shard_epochs.clear();
+                    recovery.epoch = None;
                 }
                 WalRecord::Commit { seq, record, entry } => {
                     if seq != recovery.records.len() {
@@ -786,12 +809,12 @@ impl WriteAheadLog {
                     recovery.entries.push(entry);
                 }
                 WalRecord::Epoch {
-                    shard,
+                    shard: _,
                     epoch,
                     committed: _,
                     tenant: _,
                 } => {
-                    recovery.shard_epochs.insert(shard, epoch);
+                    recovery.epoch = recovery.epoch.max(Some(epoch));
                 }
             }
         }
@@ -983,9 +1006,7 @@ mod tests {
         assert!(!loaded.had_torn_tail());
         let recovery = loaded.recover().expect("gapless");
         assert_eq!(recovery.committed(), 2);
-        assert_eq!(recovery.shard_epochs.get(&0), Some(&3));
-        assert_eq!(recovery.shard_epochs.get(&2), Some(&5));
-        assert_eq!(recovery.shard_epochs.get(&1), None);
+        assert_eq!(recovery.epoch, Some(5), "the largest journaled epoch");
         assert_eq!(recovery.records[1].log_line(), shed_record(1).log_line());
     }
 
@@ -1067,6 +1088,99 @@ mod tests {
         assert!(wal.recover().unwrap().entries.is_empty());
     }
 
+    fn entry(id: usize, category: &str) -> CheckpointEntry {
+        CheckpointEntry {
+            entry: HistoricalEntry {
+                id,
+                category: category.to_string(),
+                summary: format!("summary {id}"),
+                at: SimTime::from_secs(60 * id as u64),
+                embedding: vec![id as f32, 1.0],
+            },
+            visible_from: SimTime::from_secs(60 * id as u64 + 30),
+        }
+    }
+
+    #[test]
+    fn a_feedback_only_journal_is_not_empty() {
+        // Feedback ingested before the first journaled run.
+        let mut wal = WriteAheadLog::new();
+        wal.append(&WalRecord::Feedback {
+            entry: entry(0, "Corrected"),
+            tenant: TenantId::default(),
+        });
+        let recovery = WriteAheadLog::load(&wal.serialized()).recover().unwrap();
+        assert_eq!(recovery.committed(), 0);
+        assert_eq!(recovery.entries.len(), 1);
+        assert!(!recovery.is_empty());
+        assert!(WriteAheadLog::new().recover().unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_journal_from_a_sharded_engine_recovers_in_global_order() {
+        // The format a category-sharded engine wrote: a checkpoint with
+        // one epoch per shard (entries in global insertion order) and
+        // shard-tagged epoch records after it.
+        let checkpoint = HistoryCheckpoint {
+            max_cell: 64,
+            shard_epochs: vec![2, 6, 1, 4],
+            entries: vec![entry(0, "A"), entry(1, "B"), entry(2, "C")],
+        };
+        let mut wal = WriteAheadLog::new();
+        wal.append(&WalRecord::Checkpoint {
+            committed: 1,
+            records: vec![shed_record(0)],
+            index: Some(checkpoint.clone()),
+            tenant: TenantId::default(),
+        });
+        assert!(wal
+            .serialized()
+            .contains(r#""max_cell":64,"shard_epochs":[2,6,1,4],"entries":"#));
+        wal.append(&WalRecord::Commit {
+            seq: 1,
+            record: shed_record(1),
+            entry: Some(entry(3, "D")),
+        });
+        wal.append(&WalRecord::Epoch {
+            shard: 2,
+            epoch: 2,
+            committed: 2,
+            tenant: TenantId::default(),
+        });
+        wal.append(&WalRecord::Feedback {
+            entry: entry(4, "A"),
+            tenant: TenantId::default(),
+        });
+        let recovery = WriteAheadLog::load(&wal.serialized()).recover().unwrap();
+        assert_eq!(recovery.committed(), 2);
+        assert_eq!(recovery.checkpoint.as_ref(), Some(&checkpoint));
+        assert_eq!(recovery.epoch, Some(2));
+        let store = recovery.history(&[]);
+        // Restore resumes at the checkpoint's largest epoch (6), which
+        // outranks the later shard-2 record; the replayed entries
+        // publish once more.
+        assert_eq!(store.epoch(), 7);
+        let ids: Vec<usize> = store
+            .checkpoint()
+            .entries
+            .iter()
+            .map(|e| e.entry.id)
+            .collect();
+        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
+        assert_eq!(store.snapshot().len(), 5, "everything is published");
+        // A later epoch record beats the checkpoint's; across shards the
+        // largest wins, not the last.
+        for (shard, epoch) in [(3, 9), (0, 8)] {
+            wal.append(&WalRecord::Epoch {
+                shard,
+                epoch,
+                committed: 2,
+                tenant: TenantId::default(),
+            });
+        }
+        assert_eq!(wal.recover().unwrap().history(&[]).epoch(), 9);
+    }
+
     #[test]
     fn torn_final_line_is_dropped_and_mid_log_corruption_is_quarantined() {
         let mut wal = WriteAheadLog::new();
@@ -1143,7 +1257,7 @@ mod tests {
             2,
             "commit 1 is salvaged by scan-forward resync"
         );
-        assert!(recovery.shard_epochs.is_empty(), "the epoch was the victim");
+        assert_eq!(recovery.epoch, None, "the epoch was the victim");
     }
 
     #[test]
@@ -1370,7 +1484,7 @@ mod tests {
         let recovered = merged.recover_tenants().expect("gapless per tenant");
         assert_eq!(recovered[&a].committed(), 2);
         assert_eq!(recovered[&b].committed(), 2);
-        assert_eq!(recovered[&a].shard_epochs.get(&0), Some(&1));
+        assert_eq!(recovered[&a].epoch, Some(1));
         // The global recover() is the single-tenant path: tenant-local
         // seqs restart at 0, so it must refuse the interleave.
         assert!(matches!(merged.recover(), Err(WalError::Gap { .. })));

@@ -1,20 +1,24 @@
 //! Integration tests of the online serving engine against the batch
 //! pipeline: replayed streams must reproduce the batch predictions
-//! byte-for-byte, logs must be independent of the worker count, and the
+//! byte-for-byte, logs must be independent of the worker count, the
 //! online index must let the stream learn from its own resolved
-//! incidents.
+//! incidents, and OCE feedback corrections must journal and replay into
+//! the index with their visibility watermark respected.
 
 use rcacopilot::core::eval::PreparedDataset;
 use rcacopilot::core::pipeline::{RcaCopilot, RcaCopilotConfig};
-use rcacopilot::core::ContextSpec;
+use rcacopilot::core::{ContextSpec, HistoricalEntry};
 use rcacopilot::embed::{FastTextConfig, FeatureExtractor};
 use rcacopilot::serve::{
-    AdmissionConfig, ArrivalModel, EngineConfig, EventOutcome, IndexMode, ServeEngine, StreamConfig,
+    AdmissionConfig, ArrivalModel, EngineConfig, EventOutcome, IndexMode, OceFeedback, ServeEngine,
+    StreamConfig, WriteAheadLog,
 };
 use rcacopilot::simcloud::noise::NoiseProfile;
 use rcacopilot::simcloud::{
     generate_dataset, CampaignConfig, Incident, IncidentDataset, Topology, TrainTestSplit,
 };
+use rcacopilot::telemetry::SimTime;
+use serde_json::Value;
 
 fn dataset() -> IncidentDataset {
     generate_dataset(&CampaignConfig {
@@ -220,5 +224,127 @@ fn online_index_learns_new_categories_from_resolved_incidents() {
     assert!(
         !frozen_second.demo_categories.contains(&novel.category),
         "frozen index cannot contain the streamed category"
+    );
+}
+
+/// Looks up a (possibly nested) field of a JSON report map.
+fn field<'a>(v: &'a Value, path: &[&str]) -> &'a Value {
+    let mut cur = v;
+    for key in path {
+        cur = cur
+            .as_map()
+            .expect("report node is a map")
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+            .unwrap_or_else(|| panic!("report field {key} missing"));
+    }
+    cur
+}
+
+fn as_u64(v: &Value) -> u64 {
+    match v {
+        Value::U64(n) => *n,
+        Value::I64(n) => *n as u64,
+        other => panic!("expected number, got {other:?}"),
+    }
+}
+
+/// OCE feedback corrections journal as `WalRecord::Feedback`, replay
+/// into the history store on the next run, and respect their
+/// `visible_from` watermark: a correction visible only after the
+/// stream's end leaves the prediction log byte-identical while still
+/// landing in the index.
+#[test]
+fn feedback_corrections_journal_and_replay_with_watermark() {
+    let dataset = dataset();
+    let (copilot, _, _, test) = trained(&dataset);
+    let test: Vec<Incident> = test.into_iter().take(24).collect();
+    let stream = StreamConfig {
+        seed: 12,
+        arrivals: ArrivalModel::Bursty {
+            mean_gap_secs: 300,
+            burst_prob: 0.5,
+            burst_len: 6,
+            burst_gap_secs: 5,
+        },
+        reraise_prob: 0.2,
+    };
+    let config = EngineConfig {
+        workers: 2,
+        index_mode: IndexMode::Online,
+        admission: AdmissionConfig::unbounded(),
+        ..EngineConfig::default()
+    };
+
+    // Crash a journaled run halfway so the correction replays *before*
+    // uncommitted events.
+    let engine = ServeEngine::new(copilot.clone(), config.clone());
+    let reference = {
+        let mut wal = WriteAheadLog::new();
+        engine
+            .run_with_wal(&test, &stream, &mut wal)
+            .expect("fresh journal")
+    };
+    let crash_at = reference.records[reference.records.len() / 2].at;
+    let crashed = ServeEngine::new(
+        copilot.clone(),
+        EngineConfig {
+            crash_at: Some(crash_at),
+            ..config.clone()
+        },
+    );
+    let mut wal = WriteAheadLog::new();
+    let partial = crashed
+        .run_with_wal(&test, &stream, &mut wal)
+        .expect("fresh journal");
+    assert!(partial.crashed());
+
+    // The OCE corrects the first served prediction after the fact.
+    let original = HistoricalEntry {
+        id: 0,
+        category: test[0].category.clone(),
+        summary: "as served".to_string(),
+        at: reference.records[0].at,
+        embedding: copilot.embed_scaled("original diagnostic text"),
+    };
+    // Visible only after every remaining event: the log must not move.
+    let far_future = SimTime::from_secs(u64::MAX / 2);
+    let corrected = engine.ingest_feedback(
+        &mut wal,
+        &original,
+        &OceFeedback {
+            category: test[1].category.clone(),
+            summary: "OCE: actually a downstream config rollout".to_string(),
+            corrected_at: far_future,
+        },
+    );
+    assert_eq!(corrected.category, test[1].category);
+    assert_eq!(corrected.embedding, original.embedding);
+    let recovery = wal.recover().expect("gapless");
+    assert!(
+        recovery
+            .entries
+            .iter()
+            .any(|ce| ce.visible_from == far_future
+                && ce.entry.summary == "OCE: actually a downstream config rollout"),
+        "the correction must replay from the journal"
+    );
+
+    // Resume with the correction in the journal: the log must match the
+    // uncorrected reference (the watermark hides the correction from
+    // every query) while the index carries the extra entry.
+    let mut reloaded = WriteAheadLog::load(&wal.serialized());
+    let resumed = ServeEngine::new(copilot.clone(), config)
+        .run_with_wal(&test, &stream, &mut reloaded)
+        .expect("recoverable journal");
+    assert_eq!(
+        resumed.log, reference.log,
+        "a future-dated correction must not change the log"
+    );
+    assert_eq!(
+        as_u64(field(&resumed.report, &["online_index_len"])),
+        as_u64(field(&reference.report, &["online_index_len"])) + 1,
+        "the correction must still land in the index"
     );
 }

@@ -237,7 +237,7 @@ fn journaling_is_free_when_nothing_crashes() {
 /// journal serialized to bytes, process gone — resumes from the reloaded
 /// journal with a prediction log byte-identical to the uninterrupted
 /// run, for 1 and 4 workers, at several crash points, with faults and
-/// checkpoint folding and epoch compaction all enabled.
+/// checkpoint folding enabled.
 #[test]
 fn crash_at_virtual_time_recovers_byte_identically() {
     let (copilot, test) = trained();

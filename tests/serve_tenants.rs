@@ -2,8 +2,8 @@
 //!
 //! The tentpole isolation property: in a merged multi-tenant run, every
 //! tenant's prediction log is **byte-identical** to a solo run of that
-//! tenant with the same derived fair-share config — across worker counts
-//! and shard counts, and with a noisy neighbor (flapping monitor storm +
+//! tenant with the same derived fair-share config — across worker
+//! counts, and with a noisy neighbor (flapping monitor storm +
 //! ~30% worker-fault climate) raging in the same plane. Plus the
 //! satellite: a durable journal holding interleaved multi-tenant records
 //! reopens after a torn tail with only the owning tenant's watermark
@@ -62,10 +62,9 @@ fn fixture() -> &'static (RcaCopilot, Vec<Incident>) {
     })
 }
 
-fn base_config(workers: usize, shards: usize) -> EngineConfig {
+fn base_config(workers: usize) -> EngineConfig {
     EngineConfig {
         workers,
-        shards,
         index_mode: IndexMode::Online,
         admission: AdmissionConfig {
             capacity_secs: 28_800,
@@ -80,9 +79,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Cross-tenant isolation, the tentpole invariant: each tenant's log
-    /// in a merged run (workers w₁, shards s₁) is byte-identical to a
-    /// solo run of that tenant (workers w₂, shards s₂ — *different*
-    /// pool geometry) using the same derived fair-share config — even
+    /// in a merged run (workers w₁) is byte-identical to a solo run of
+    /// that tenant (workers w₂ — *different* pool geometry) using the same derived fair-share config — even
     /// though one tenant is a flapping storm with a ~30% worker-fault
     /// climate and its own circuit breaker tripping.
     #[test]
@@ -92,8 +90,6 @@ proptest! {
         storm_slot in 0usize..4,
         merged_workers in 1usize..5,
         solo_workers in 1usize..5,
-        merged_shards_pow in 0u32..3,
-        solo_shards_pow in 0u32..3,
         seed in 40u64..60,
     ) {
         let (copilot, test) = fixture();
@@ -112,14 +108,14 @@ proptest! {
         let parts = partition_tenants(&incidents, &plans);
 
         let merged_cfg = MultiTenantConfig {
-            base: base_config(merged_workers, 1 << merged_shards_pow),
+            base: base_config(merged_workers),
             ..MultiTenantConfig::default()
         };
         let plane = MultiTenantEngine::from_plans(copilot.clone(), merged_cfg, &plans)
             .expect("generated plans are distinct and non-empty");
         let out = plane.run(&parts).expect("one slice per tenant");
 
-        let solo_base = base_config(solo_workers, 1 << solo_shards_pow);
+        let solo_base = base_config(solo_workers);
         for (i, run) in out.tenants.iter().enumerate() {
             let solo_cfg = MultiTenantEngine::tenant_engine_config(
                 &solo_base,
@@ -133,13 +129,11 @@ proptest! {
                 &run.outcome.log,
                 &solo.log,
                 "tenant {:?} (slot {}) diverged from its solo baseline \
-                 (merged {}w×{}s vs solo {}w×{}s)",
+                 (merged {}w vs solo {}w)",
                 run.tenant,
                 i,
                 merged_workers,
-                1 << merged_shards_pow,
-                solo_workers,
-                1 << solo_shards_pow
+                solo_workers
             );
         }
 
@@ -195,7 +189,7 @@ proptest! {
         );
         let parts = partition_tenants(&incidents, &plans);
         let config = |shards: usize| MultiTenantConfig {
-            base: base_config(2, 2),
+            base: base_config(2),
             shards,
             tenant_workers: Some(tenant_workers),
             ..MultiTenantConfig::default()

@@ -82,10 +82,9 @@ fn stream() -> StreamConfig {
     }
 }
 
-fn config(workers: usize, shards: usize) -> EngineConfig {
+fn config(workers: usize) -> EngineConfig {
     EngineConfig {
         workers,
-        shards,
         index_mode: IndexMode::Online,
         admission: AdmissionConfig::unbounded(),
         ..EngineConfig::default()
@@ -97,14 +96,13 @@ fn config(workers: usize, shards: usize) -> EngineConfig {
 /// outliving a crashed process) and the run's prediction log.
 fn run_on_disk(
     workers: usize,
-    shards: usize,
     incidents: &[Incident],
     plan: &StorageFaultPlan,
 ) -> (SimDisk, String) {
     let (copilot, _) = fixture();
     let disk = SimDisk::new(SimDiskConfig::from_plan(plan));
     let mut wal = WriteAheadLog::with_sink(Box::new(disk.clone())).expect("fresh disk");
-    let out = ServeEngine::new(copilot.clone(), config(workers, shards))
+    let out = ServeEngine::new(copilot.clone(), config(workers))
         .run_with_wal(incidents, &stream(), &mut wal)
         .expect("fresh journal");
     (disk, out.log)
@@ -127,12 +125,12 @@ fn clean_crash_sweep_never_loses_an_acked_commit() {
     let incidents: Vec<Incident> = test.iter().take(10).cloned().collect();
     // Two pool geometries: the journal contents differ (epoch batching),
     // the invariants must not.
-    for (workers, shards) in [(1usize, 1usize), (3, 2)] {
-        let baseline = ServeEngine::new(copilot.clone(), config(workers, shards))
+    for workers in [1usize, 3] {
+        let baseline = ServeEngine::new(copilot.clone(), config(workers))
             .run(&incidents, &stream())
             .log;
         let plan = StorageFaultPlan::clean(17);
-        let (disk, full_log) = run_on_disk(workers, shards, &incidents, &plan);
+        let (disk, full_log) = run_on_disk(workers, &incidents, &plan);
         assert_eq!(full_log, baseline, "journaled run must match baseline");
 
         let windows = disk.barrier_windows();
@@ -181,7 +179,7 @@ fn clean_crash_sweep_never_loses_an_acked_commit() {
                 // Resuming the engine is the expensive half: sample it.
                 if tail == window / 2 && k % 3 == 0 {
                     let (_, mut wal) = recover_image(&image.bytes);
-                    let resumed = ServeEngine::new(copilot.clone(), config(workers, shards))
+                    let resumed = ServeEngine::new(copilot.clone(), config(workers))
                         .run_with_wal(&incidents, &stream(), &mut wal)
                         .expect("recovered journal");
                     assert_eq!(
@@ -208,10 +206,10 @@ fn clean_crash_sweep_never_loses_an_acked_commit() {
 fn bit_rot_maps_to_quarantine_exactly_and_replay_converges() {
     let (copilot, test) = fixture();
     let incidents: Vec<Incident> = test.iter().take(8).cloned().collect();
-    let baseline = ServeEngine::new(copilot.clone(), config(2, 2))
+    let baseline = ServeEngine::new(copilot.clone(), config(2))
         .run(&incidents, &stream())
         .log;
-    let (disk, _) = run_on_disk(2, 2, &incidents, &StorageFaultPlan::clean(23));
+    let (disk, _) = run_on_disk(2, &incidents, &StorageFaultPlan::clean(23));
     let clean: Vec<u8> = disk
         .crash_image(CrashPoint {
             barriers: usize::MAX,
@@ -258,7 +256,7 @@ fn bit_rot_maps_to_quarantine_exactly_and_replay_converges() {
             // set-matching only applies to the other images. Still: it
             // must recover and replay.
             let (_, mut wal) = recover_image(&image.bytes);
-            let resumed = ServeEngine::new(copilot.clone(), config(2, 2))
+            let resumed = ServeEngine::new(copilot.clone(), config(2))
                 .run_with_wal(&incidents, &stream(), &mut wal)
                 .expect("recovered journal");
             assert_eq!(resumed.log, baseline);
@@ -299,7 +297,7 @@ fn bit_rot_maps_to_quarantine_exactly_and_replay_converges() {
         // Replay converges on a sample of the rotten images.
         if resumes < 5 {
             let (_, mut wal) = recover_image(&image.bytes);
-            let resumed = ServeEngine::new(copilot.clone(), config(2, 2))
+            let resumed = ServeEngine::new(copilot.clone(), config(2))
                 .run_with_wal(&incidents, &stream(), &mut wal)
                 .expect("recovered journal");
             assert_eq!(
@@ -323,12 +321,12 @@ fn bit_rot_maps_to_quarantine_exactly_and_replay_converges() {
 fn enospc_budget_degrades_to_paused_durability_but_completes() {
     let (copilot, test) = fixture();
     let incidents: Vec<Incident> = test.iter().take(10).cloned().collect();
-    let baseline = ServeEngine::new(copilot.clone(), config(2, 1))
+    let baseline = ServeEngine::new(copilot.clone(), config(2))
         .run(&incidents, &stream())
         .log;
     // Size the budget off the clean journal: roomy enough to start,
     // far too small for the whole run.
-    let (clean_disk, _) = run_on_disk(2, 1, &incidents, &StorageFaultPlan::clean(31));
+    let (clean_disk, _) = run_on_disk(2, &incidents, &StorageFaultPlan::clean(31));
     let full_len = clean_disk
         .crash_image(CrashPoint {
             barriers: usize::MAX,
@@ -340,7 +338,7 @@ fn enospc_budget_degrades_to_paused_durability_but_completes() {
     let plan = StorageFaultPlan::tight_budget(31, (full_len / 3) as u64);
     let disk = SimDisk::new(SimDiskConfig::from_plan(&plan));
     let mut wal = WriteAheadLog::with_sink(Box::new(disk.clone())).expect("fresh disk");
-    let mut cfg = config(2, 1);
+    let mut cfg = config(2);
     cfg.checkpoint_every = 4; // folding is what frees budget
     let out = ServeEngine::new(copilot.clone(), cfg)
         .run_with_wal(&incidents, &stream(), &mut wal)
@@ -374,7 +372,7 @@ fn enospc_budget_degrades_to_paused_durability_but_completes() {
 fn flaky_io_is_retried_or_degraded_but_never_changes_results() {
     let (copilot, test) = fixture();
     let incidents: Vec<Incident> = test.iter().take(10).cloned().collect();
-    let baseline = ServeEngine::new(copilot.clone(), config(2, 1))
+    let baseline = ServeEngine::new(copilot.clone(), config(2))
         .run(&incidents, &stream())
         .log;
     // The preset's 30‰ rate is tuned for long bench sweeps; a short CI
@@ -384,7 +382,7 @@ fn flaky_io_is_retried_or_degraded_but_never_changes_results() {
     disk_cfg.fsync_error_per_mille = 150;
     let disk = SimDisk::new(disk_cfg);
     let mut wal = WriteAheadLog::with_sink(Box::new(disk.clone())).expect("fresh disk");
-    let out = ServeEngine::new(copilot.clone(), config(2, 1))
+    let out = ServeEngine::new(copilot.clone(), config(2))
         .run_with_wal(&incidents, &stream(), &mut wal)
         .expect("flaky I/O must never be fatal");
     assert_eq!(out.log, baseline);
